@@ -58,11 +58,10 @@ def main():
     print("== inside the resolution tree ==")
     stacked = stack(generator_diagram(s3, GENS_A3[0]), generator_diagram(s3, GENS_A3[1]))
     states = resolve_fully(stacked)
-    print(f"a1 * a2 resolves into {len(states)} terminal states:")
+    print(f"a1 * a2 resolves into {len(states)} terminal states (loops already scalars):")
     for ws in states:
-        opens = sum(1 for c in ws.diagram.components if not c.closed)
-        closed = sum(1 for c in ws.diagram.components if c.closed)
-        print(f"  coefficient {ws.coefficient}; {opens} arcs, {closed} loops")
+        word = "*".join(str(g) for g in ws.word) or "1"
+        print(f"  coefficient {ws.coefficient}; word {word}")
 
     print()
     print("== the diagram file format ==")

@@ -75,10 +75,7 @@ from .diagrams import (
     generator_diagram,
     loads_diagram,
     loop_component,
-    remove_trivial_loops,
-    resolve_crossing,
     resolve_fully,
-    resolve_puncture_pair,
     stack,
     validate,
 )

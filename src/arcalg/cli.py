@@ -93,8 +93,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval-diagram", help="evaluate a diagram file")
     p.add_argument("path")
     p.add_argument("--json", action="store_true", help="machine-readable output")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="worker budget for the resolution tree (currently single-process)")
 
     p = sub.add_parser("verify", help="run all checks for a surface")
     add_common(p)
@@ -125,9 +123,6 @@ def _cmd_normalize(args) -> int:
 
 
 def _cmd_eval_diagram(args) -> int:
-    if args.jobs < 1:
-        print("error: --jobs must be at least 1", file=sys.stderr)
-        return USAGE_ERROR
     try:
         with open(args.path, "r", encoding="utf-8") as fh:
             text = fh.read()

@@ -8,30 +8,37 @@ at pairwise distinct integer heights per puncture.  Every transverse double
 point carries over/under data; general position (no tangencies, no triple
 points, no crossings at punctures) is enforced exactly.
 
-The evaluator rewrites a diagram to an element of the presented algebra:
+The evaluator is Kauffman's state model, extended by the puncture-skein and
+puncture-framing relations of the arc algebra.  Exact geometry runs once
+per diagram: the components are cut at their crossings into edges, each
+crossing records the outward directions of its four edge ends, each
+puncture end its height and ray, and each edge its signed crossing count
+with one fixed ray from every puncture.  Resolution after that only
+re-pairs edge ends and adds integers:
 
-* a crossing is resolved into its two planar smoothings with coefficients
-  A and A^-1 (the A-smoothing opens the two regions swept by rotating the
-  over strand counterclockwise onto the under strand, so each over-strand
-  end joins the under-strand end clockwise from it; a positive kink then
+* a crossing is resolved into its two smoothings with coefficients A and
+  A^-1 (the A-smoothing opens the two regions swept by rotating the over
+  strand counterclockwise onto the under strand, so each over-strand end
+  joins the under-strand end clockwise from it; a positive kink then
   carries the usual -A^3 framing factor);
-* a height-adjacent pair of ends at puncture i is resolved into the two
-  detours around the puncture with coefficients v_i^-1 A^(1/2) (the higher
-  strand turns left) and v_i^-1 A^(-1/2) (right);
-* crossingless loops enclosing no puncture are removed with the factor
-  -A^2 - A^-2, those enclosing exactly one with A + A^-1.  A loop that
-  survives removal is still scalar on the sphere whenever n <= 3, because
-  one side of it contains at most one puncture; the terminal rendering uses
-  min(|enclosed|, n - |enclosed|) to pick the factor.
+* a height-adjacent pair of ends at puncture i is joined by a detour around
+  the puncture with coefficients v_i^-1 A^(1/2) (the higher strand turns
+  left: the detour sweeps clockwise from its ray to the lower end's ray)
+  and v_i^-1 A^(-1/2) (counterclockwise).  The detour crosses the ends
+  whose rays lie strictly inside its wedge; those crossings are over/under
+  by height and are resolved in turn, and each crossed end stays at the
+  puncture through a short stub;
+* a closed curve of a terminal state encloses the punctures around which
+  the ray counts of its edges sum to a nonzero winding number.  On the
+  sphere it is a scalar whenever min(|enclosed|, n - |enclosed|) <= 1,
+  which holds for every n <= 3: -A^2 - A^-2 for 0 and A + A^-1 for 1.
 
-Each surgery reuses coordinates away from the modified spot and verifies
-the outcome exactly, shrinking its local scale until the crossing set is
-precisely what the move prescribes.  The pair (puncture-endpoint count,
-crossing count) decreases lexicographically at every step, so resolution
-terminates.
+Evaluation is defined for n = 0, 2 and 3.  On the once-punctured sphere a
+loop around the puncture is isotopic through infinity to a loop beside it,
+while the two relations give them different values, so n = 1 is rejected.
 
-States share nothing mutable; branches of the resolution tree may run in
-parallel and summation order cannot affect the exact result.
+The pair (puncture-end count, crossing count) decreases lexicographically
+at every step, so resolution terminates.
 """
 
 from __future__ import annotations
@@ -39,27 +46,24 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence
+from itertools import combinations, count
+from typing import Mapping, NamedTuple, Sequence
 
 from . import presentations, ring
-from .freealg import AlgElement, Generator
+from .freealg import AlgElement, Generator, Word
 from .geometry import (
-    COMPASS16,
     Dir,
     Point,
-    canon_dir,
     cross,
     dot,
     on_segment_interior,
     primitive_dir,
     segment_hit,
-    smul,
-    sort_by_angle_from,
     vadd,
     vsub,
     winding_number,
 )
-from .ring import LaurentPoly
+from .ring import LaurentPoly, Monomial
 
 __all__ = [
     "DiagramError",
@@ -73,9 +77,6 @@ __all__ = [
     "puncture_position",
     "validate",
     "diagram_crossings",
-    "resolve_crossing",
-    "resolve_puncture_pair",
-    "remove_trivial_loops",
     "classify_terminal",
     "evaluate",
     "resolve_fully",
@@ -89,8 +90,6 @@ __all__ = [
     "dumps_diagram",
     "loads_diagram",
 ]
-
-MAX_SHRINK = 60
 
 
 class DiagramError(ValueError):
@@ -142,10 +141,12 @@ class Diagram:
 
 @dataclass(frozen=True)
 class WeightedState:
-    """A node of the resolution tree: an exact coefficient times a diagram."""
+    """A terminal state of the resolution tree: an exact coefficient times
+    the word of its arcs, ordered by height.  Its loops are scalars already
+    folded into the coefficient."""
 
     coefficient: LaurentPoly
-    diagram: Diagram
+    word: Word
 
 
 @dataclass(frozen=True)
@@ -167,60 +168,7 @@ class Arc:
     j: int
 
 
-# ---------------------------------------------------------------------------
-# internal strand/state representation
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class _Strand:
-    sid: int
-    points: list[Point]
-    closed: bool
-    start: Attachment | None
-    end: Attachment | None
-
-    def segment_count(self) -> int:
-        return len(self.points) if self.closed else len(self.points) - 1
-
-    def segment(self, k: int) -> tuple[Point, Point]:
-        return self.points[k], self.points[(k + 1) % len(self.points)]
-
-    def terminal_segment(self, side: str) -> int:
-        return 0 if side == "start" else self.segment_count() - 1
-
-    def attachment(self, side: str) -> Attachment | None:
-        return self.start if side == "start" else self.end
-
-
-_XC = tuple[Point, tuple[int, int], tuple[int, int]]  # (point, (sid, seg), (sid, seg))
-_End = tuple[int, int, str]  # (height, sid, "start"|"end")
-
-
-@dataclass
-class _State:
-    n: int
-    coeff: LaurentPoly
-    strands: dict[int, _Strand]
-    over: dict[Point, Dir]
-    crossings: list[_XC]
-    next_sid: int
-
-    def endpoint_count(self) -> int:
-        return sum(0 if s.closed else 2 for s in self.strands.values())
-
-
-def _ends_at(state: _State, p: int) -> list[_End]:
-    """Every open end attached at puncture p, sorted by height."""
-    out = []
-    for s in state.strands.values():
-        if s.closed:
-            continue
-        if s.start.puncture == p:
-            out.append((s.start.height, s.sid, "start"))
-        if s.end.puncture == p:
-            out.append((s.end.height, s.sid, "end"))
-    return sorted(out)
+_XC = tuple[Point, tuple[int, int], tuple[int, int]]  # (point, (comp, seg), (comp, seg))
 
 
 # ---------------------------------------------------------------------------
@@ -228,41 +176,33 @@ def _ends_at(state: _State, p: int) -> list[_End]:
 # ---------------------------------------------------------------------------
 
 
-def _adjacent(strand: _Strand, k1: int, k2: int) -> bool:
-    m = strand.segment_count()
-    if strand.closed:
+def _adjacent(c: Component, k1: int, k2: int) -> bool:
+    m = c.segment_count()
+    if c.closed:
         return (k1 - k2) % m in (1, m - 1)
     return abs(k1 - k2) == 1
 
 
-def _terminal_at(strand: _Strand, k: int, point: Point) -> bool:
-    """Does segment k meet ``point`` at a legal open-endpoint of its strand?"""
-    if strand.closed:
+def _terminal_at(c: Component, k: int, point: Point) -> bool:
+    """Does segment k meet ``point`` at a legal open-endpoint of its component?"""
+    if c.closed:
         return False
-    if k == 0 and strand.points[0] == point:
+    if k == 0 and c.points[0] == point:
         return True
-    if k == strand.segment_count() - 1 and strand.points[-1] == point:
+    if k == c.segment_count() - 1 and c.points[-1] == point:
         return True
     return False
 
 
-def _scan(
-    strands: Mapping[int, _Strand],
-    n: int,
-    changed: set[int] | None = None,
-) -> tuple[list[str], list[_XC]]:
-    """General-position errors and transverse crossings among segments.
-
-    With ``changed`` given, only pairs touching a changed strand are scanned;
-    the caller merges in the untouched crossings itself.
-    """
+def _scan(comps: Sequence[Component], n: int) -> tuple[list[str], list[_XC]]:
+    """General-position errors and transverse crossings among segments."""
     errors: list[str] = []
     crossings: list[_XC] = []
     punctures = {puncture_position(i): i for i in range(1, n + 1)}
     segs: list[tuple[int, int, Point, Point, tuple]] = []
-    for sid, s in strands.items():
-        for k in range(s.segment_count()):
-            a, b = s.segment(k)
+    for sid, c in enumerate(comps):
+        for k in range(c.segment_count()):
+            a, b = c.segment(k)
             box = (
                 a[0] if a[0] <= b[0] else b[0],
                 a[0] if a[0] >= b[0] else b[0],
@@ -272,33 +212,26 @@ def _scan(
             segs.append((sid, k, a, b, box))
 
     total = len(segs)
-    if changed is None:
-        first_indices = range(total)
-    else:
-        first_indices = [i for i in range(total) if segs[i][0] in changed]
-    for idx1 in first_indices:
+    for idx1 in range(total):
         sid1, k1, a1, b1, box1 = segs[idx1]
-        strand1 = strands[sid1]
+        comp1 = comps[sid1]
         for q, qi in punctures.items():
             if box1[0] <= q[0] <= box1[1] and box1[2] <= q[1] <= box1[3]:
                 if on_segment_interior(q, a1, b1):
                     errors.append(f"segment ({sid1},{k1}) passes through puncture {qi}")
                 for endpoint in (a1, b1):
-                    if endpoint == q and not _terminal_at(strand1, k1, endpoint):
+                    if endpoint == q and not _terminal_at(comp1, k1, endpoint):
                         errors.append(
                             f"vertex of component {sid1} lies at puncture {qi}"
                         )
-        for idx2 in range(total):
+        for idx2 in range(idx1 + 1, total):
             sid2, k2, a2, b2, box2 = segs[idx2]
-            if changed is None or sid2 in changed:
-                if idx2 <= idx1:
-                    continue  # scan each changed pair once
             hit = None
             if box1[0] <= box2[1] and box2[0] <= box1[1] and box1[2] <= box2[3] and box2[2] <= box1[3]:
                 hit = segment_hit(a1, b1, a2, b2)
             if hit is None:
                 continue
-            if sid1 == sid2 and _adjacent(strands[sid1], k1, k2):
+            if sid1 == sid2 and _adjacent(comp1, k1, k2):
                 # Adjacent segments legally share one vertex; anything more is
                 # a fold-back (two common points force a common line).
                 if hit.kind == "overlap":
@@ -310,18 +243,15 @@ def _scan(
                 p = hit.point
                 if (
                     p in punctures
-                    and _terminal_at(strands[sid1], k1, p)
-                    and _terminal_at(strands[sid2], k2, p)
+                    and _terminal_at(comp1, k1, p)
+                    and _terminal_at(comps[sid2], k2, p)
                 ):
                     continue  # distinct ends meeting at their shared puncture
                 errors.append(
                     f"non-transverse contact of ({sid1},{k1}) and ({sid2},{k2}) at {p}"
                 )
             else:
-                key1, key2 = (sid1, k1), (sid2, k2)
-                if key2 < key1:
-                    key1, key2 = key2, key1
-                crossings.append((hit.point, key1, key2))
+                crossings.append((hit.point, (sid1, k1), (sid2, k2)))
     return errors, crossings
 
 
@@ -377,18 +307,19 @@ def _triple_point_errors(crossings: list[_XC]) -> list[str]:
 
 def validate(d: Diagram) -> list[str]:
     """All general-position and attachment violations; [] means valid."""
+    return _validated(d)[0]
+
+
+def _validated(d: Diagram) -> tuple[list[str], list[_XC]]:
+    """The violations of ``validate`` and the crossings found on the way."""
     errors = _structural_errors(d)
     if errors:
-        return errors
-    strands = {
-        ci: _Strand(ci, list(c.points), c.closed, c.start, c.end)
-        for ci, c in enumerate(d.components)
-    }
-    scan_errors, crossings = _scan(strands, d.n)
+        return errors, []
+    scan_errors, crossings = _scan(d.components, d.n)
     errors.extend(scan_errors)
     errors.extend(_triple_point_errors(crossings))
     if errors:
-        return errors
+        return errors, crossings
     found = {(xc[1], xc[2]) for xc in crossings}
     declared = set(d.over)
     for key in sorted(declared - found):
@@ -398,7 +329,7 @@ def validate(d: Diagram) -> list[str]:
     for key, val in d.over.items():
         if val not in ("a", "b"):
             errors.append(f"over/under value for {key} must be 'a' or 'b'")
-    return errors
+    return errors, crossings
 
 
 def diagram_crossings(d: Diagram) -> list[tuple[CrossKey, Point]]:
@@ -406,11 +337,7 @@ def diagram_crossings(d: Diagram) -> list[tuple[CrossKey, Point]]:
     errors = _structural_errors(d)
     if errors:
         raise DiagramError(errors)
-    strands = {
-        ci: _Strand(ci, list(c.points), c.closed, c.start, c.end)
-        for ci, c in enumerate(d.components)
-    }
-    scan_errors, crossings = _scan(strands, d.n)
+    scan_errors, crossings = _scan(d.components, d.n)
     scan_errors.extend(_triple_point_errors(crossings))
     if scan_errors:
         raise DiagramError(scan_errors)
@@ -418,489 +345,236 @@ def diagram_crossings(d: Diagram) -> list[tuple[CrossKey, Point]]:
 
 
 # ---------------------------------------------------------------------------
-# Diagram <-> state conversion
+# geometry once: edges, their ends and their ray counts
 # ---------------------------------------------------------------------------
 
 
-def _seg_dir(strand: _Strand, k: int) -> Dir:
-    a, b = strand.segment(k)
-    return canon_dir(vsub(b, a))
+def _ray_crossing(a: Point, b: Point, q: Point, d: Dir) -> int:
+    """Signed crossing of segment a->b with the ray from q in direction d.
+
+    +1 when the segment passes counterclockwise about q.  The ray must miss
+    every vertex, so a crossing is interior to the segment.
+    """
+    e = vsub(b, a)
+    den = cross(d, e)
+    if den == 0:
+        return 0
+    w = vsub(a, q)
+    s = cross(w, e) / den
+    u = cross(w, d) / den
+    if s > 0 and 0 < u < 1:
+        return 1 if den > 0 else -1
+    return 0
 
 
-def _state_from_diagram(d: Diagram, coeff: LaurentPoly | None = None) -> _State:
-    errors = validate(d)
-    if errors:
-        raise DiagramError(errors)
-    strands = {
-        ci: _Strand(ci, list(c.points), c.closed, c.start, c.end)
-        for ci, c in enumerate(d.components)
-    }
-    _, crossings = _scan(strands, d.n)
-    over: dict[Point, Dir] = {}
-    for point, (s1, k1), (s2, k2) in crossings:
-        label = d.over[((s1, k1), (s2, k2))]
-        sid, k = (s1, k1) if label == "a" else (s2, k2)
-        over[point] = _seg_dir(strands[sid], k)
+def _free_ray(q: Point, avoid: Sequence[Point]) -> Dir:
+    """A direction whose ray from q misses every point of ``avoid``."""
+    for k in count():
+        d = (k, 1)
+        if not any(cross(d, vsub(p, q)) == 0 and dot(d, vsub(p, q)) > 0 for p in avoid):
+            return d
+
+
+def _sweep_angle(ref: Dir, r: Dir, s: int) -> Fraction:
+    """A monotone stand-in in [0, 4) for the angle from ref to r, measured
+    counterclockwise for s = 1 and clockwise for s = -1."""
+    x, y = dot(ref, r), s * cross(ref, r)
+    t = Fraction(x, abs(x) + abs(y))
+    return 1 - t if y > 0 or (y == 0 and x > 0) else 3 + t
+
+
+class _Skeleton:
+    """The edge ends of one diagram and of every piece its resolution adds.
+
+    Ends are integers and an edge is a pair of ends (e, e ^ 1).  Per end:
+    ``dir`` is its outward direction at the crossing or puncture where it
+    sits (at a puncture: its ray), ``count[e][q - 1]`` the signed crossing
+    count of the edge, traversed from e, with the ray from puncture q in
+    direction ``rays[q - 1]``, and ``at[e]`` the (puncture, height) of a
+    puncture end.  ``smoothings[x]`` holds the A-pairing and the B-pairing
+    of crossing x.  Entries are only ever appended, so the branches of the
+    resolution tree share one skeleton.
+    """
+
+    def __init__(self, n: int, rays: list[Dir]):
+        self.n = n
+        self.rays = rays
+        self.dir: list[Dir | None] = []
+        self.count: list[tuple[int, ...]] = []
+        self.at: dict[int, tuple[int, int]] = {}
+        self.smoothings: list[tuple[tuple[tuple[int, int], ...], ...]] = []
+
+    def edge(self, dir0: Dir | None, dir1: Dir | None, counts: Sequence[int]) -> int:
+        e = len(self.dir)
+        self.dir += [dir0, dir1]
+        self.count += [tuple(counts), tuple(-c for c in counts)]
+        return e
+
+    def crossing(self, over: Sequence[int], under: Sequence[int]) -> int:
+        """Record a crossing; with the A-smoothing each over end joins the
+        under end clockwise from it."""
+        a_pairs, b_pairs = [], []
+        for o in over:
+            for u in under:
+                pairs = a_pairs if cross(self.dir[o], self.dir[u]) < 0 else b_pairs
+                pairs.append((o, u))
+        self.smoothings.append((tuple(a_pairs), tuple(b_pairs)))
+        return len(self.smoothings) - 1
+
+
+class _State(NamedTuple):
+    """A node of the resolution tree.
+
+    The coefficient is the monomial A^(half_a/2) v^vexp.  ``links`` is a
+    linked list (pairs, rest) of the end pairings made so far, ``pending``
+    the crossings still to smooth, and ``ends[p - 1]`` the (height, end)
+    pairs at puncture p, sorted by height.
+    """
+
+    half_a: int
+    vexp: tuple[int, ...]
+    links: tuple | None
+    pending: tuple[int, ...]
+    ends: tuple[tuple[tuple[int, int], ...], ...]
+
+
+def _skeleton(d: Diagram, crossings: list[_XC]) -> tuple[_Skeleton, _State]:
+    """Cut a valid diagram at its crossings into edges; the root state."""
+    n = d.n
+    avoid = [p for c in d.components for p in c.points]
+    avoid += [xc[0] for xc in crossings] + [puncture_position(i) for i in range(1, n + 1)]
+    rays = [_free_ray(puncture_position(q), avoid) for q in range(1, n + 1)]
+    sk = _Skeleton(n, rays)
+
+    marks: dict[tuple[int, int], list[tuple[Point, int]]] = {}
+    for x, (point, key1, key2) in enumerate(crossings):
+        marks.setdefault(key1, []).append((point, x))
+        marks.setdefault(key2, []).append((point, x))
+    at_crossing: list[list[tuple[int, tuple[int, int]]]] = [[] for _ in crossings]
+    at_puncture: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    free_loops = []
+
+    def add_edge(run) -> int:
+        pts = [point for point, _, _ in run]
+        counts = [
+            sum(_ray_crossing(a, b, puncture_position(q), rays[q - 1]) for a, b in zip(pts, pts[1:]))
+            for q in range(1, n + 1)
+        ]
+        e = sk.edge(primitive_dir(vsub(pts[1], pts[0])), primitive_dir(vsub(pts[-2], pts[-1])), counts)
+        for end, (_, x, key) in ((e, run[0]), (e ^ 1, run[-1])):
+            if x is not None:
+                at_crossing[x].append((end, key))
+        return e
+
+    for ci, c in enumerate(d.components):
+        run = []  # (point, crossing or None, segment key) in traversal order
+        for k in range(c.segment_count()):
+            a, b = c.segment(k)
+            run.append((a, None, None))
+            on_seg = sorted(marks.get((ci, k), ()), key=lambda px: dot(vsub(px[0], a), vsub(b, a)))
+            run.extend((point, x, (ci, k)) for point, x in on_seg)
+        nodes = [i for i, (_, x, _) in enumerate(run) if x is not None]
+        if not c.closed:
+            run.append((c.points[-1], None, None))
+            nodes = [0] + nodes + [len(run) - 1]
+            for i, j in zip(nodes, nodes[1:]):
+                e = add_edge(run[i : j + 1])
+                if i == 0:
+                    sk.at[e] = (c.start.puncture, c.start.height)
+                    at_puncture[c.start.puncture - 1].append((c.start.height, e))
+                if j == len(run) - 1:
+                    sk.at[e ^ 1] = (c.end.puncture, c.end.height)
+                    at_puncture[c.end.puncture - 1].append((c.end.height, e ^ 1))
+        elif nodes:
+            for i, j in zip(nodes, nodes[1:] + nodes[:1]):
+                add_edge(run[i : j + 1] if i < j else run[i:] + run[: j + 1])
+        else:
+            e = add_edge(run + run[:1])
+            free_loops.append((e, e ^ 1))
+
+    pending = []
+    for x, (_, key1, key2) in enumerate(crossings):
+        over_key = key1 if d.over[(key1, key2)] == "a" else key2
+        over = [e for e, key in at_crossing[x] if key == over_key]
+        under = [e for e, key in at_crossing[x] if key != over_key]
+        pending.append(sk.crossing(over, under))
+    root = _State(
+        half_a=0,
+        vexp=(0,) * n,
+        links=(tuple(free_loops), None),
+        pending=tuple(pending),
+        ends=tuple(tuple(sorted(ends)) for ends in at_puncture),
+    )
+    return sk, root
+
+
+# ---------------------------------------------------------------------------
+# resolution: smoothing, joining, terminal states
+# ---------------------------------------------------------------------------
+
+
+def _smooth(sk: _Skeleton, st: _State, sign: int) -> _State:
+    """The last pending crossing smoothed; sign +1 is the A term."""
+    pairs = sk.smoothings[st.pending[-1]][0 if sign > 0 else 1]
+    return st._replace(
+        half_a=st.half_a + 2 * sign, links=(pairs, st.links), pending=st.pending[:-1]
+    )
+
+
+def _join(sk: _Skeleton, st: _State, p: int, i: int, sign: int) -> _State:
+    """Join the ends i and i + 1 (in height order) at puncture p by a detour
+    around p; sign +1 is the A^(1/2) term.
+
+    The detour leaves the higher end's ray and sweeps clockwise (sign +1)
+    or counterclockwise to the lower end's ray.  It crosses every end whose
+    ray lies strictly inside that wedge: the crossed end's edge now ends at
+    the new crossing, a stub carries its height and ray at p, and the strand
+    whose height is larger is over.
+    """
+    at_p = st.ends[p - 1]
+    (_, lo), (h_hi, hi) = at_p[i], at_p[i + 1]
+    s = -sign
+    ref = sk.dir[hi]
+    stop = _sweep_angle(ref, sk.dir[lo], s)
+    crossed = sorted(
+        (angle, h, e)
+        for h, e in at_p
+        if 0 < (angle := _sweep_angle(ref, sk.dir[e], s)) < stop
+    )
+    bounds = [Fraction(0)] + [angle for angle, _, _ in crossed] + [stop]
+    ray = _sweep_angle(ref, sk.rays[p - 1], s)
+    forward = [(-s * sk.dir[e][1], s * sk.dir[e][0]) for _, _, e in crossed]
+    pieces = [
+        sk.edge(
+            forward[j - 1] if j else None,
+            (-forward[j][0], -forward[j][1]) if j < len(crossed) else None,
+            [s if q == p and a0 < ray < a1 else 0 for q in range(1, sk.n + 1)],
+        )
+        for j, (a0, a1) in enumerate(zip(bounds, bounds[1:]))
+    ]
+    stubs = {}
+    new_crossings = []
+    for j, (_, h, e) in enumerate(crossed):
+        r = sk.dir[e]
+        stub = sk.edge(r, (-r[0], -r[1]), (0,) * sk.n)
+        sk.at[stub] = (p, h)
+        stubs[e] = stub
+        strand, detour = (e, stub ^ 1), (pieces[j] ^ 1, pieces[j + 1])
+        if h > h_hi:
+            new_crossings.append(sk.crossing(strand, detour))
+        else:
+            new_crossings.append(sk.crossing(detour, strand))
+    ends = list(st.ends)
+    ends[p - 1] = tuple((h, stubs.get(e, e)) for h, e in at_p if e not in (hi, lo))
+    vexp = list(st.vexp)
+    vexp[p - 1] -= 1
     return _State(
-        n=d.n,
-        coeff=coeff if coeff is not None else ring.one(d.n),
-        strands=strands,
-        over=over,
-        crossings=crossings,
-        next_sid=len(strands),
+        half_a=st.half_a + sign,
+        vexp=tuple(vexp),
+        links=(((hi, pieces[0]), (lo, pieces[-1] ^ 1)), st.links),
+        pending=st.pending + tuple(new_crossings),
+        ends=tuple(ends),
     )
-
-
-def _diagram_from_state(st: _State) -> Diagram:
-    sids = sorted(st.strands)
-    index = {sid: i for i, sid in enumerate(sids)}
-    comps = tuple(
-        Component(tuple(s.points), s.closed, s.start, s.end)
-        for s in (st.strands[sid] for sid in sids)
-    )
-    over: dict[CrossKey, str] = {}
-    for point, (s1, k1), (s2, k2) in st.crossings:
-        a = (index[s1], k1)
-        b = (index[s2], k2)
-        od = st.over[point]
-        if od == _seg_dir(st.strands[s1], k1):
-            label = "a"
-        else:
-            assert od == _seg_dir(st.strands[s2], k2), "over data lost track of its strand"
-            label = "b"
-        if b < a:
-            a, b, label = b, a, {"a": "b", "b": "a"}[label]
-        over[(a, b)] = label
-    return Diagram(st.n, comps, over)
-
-
-# ---------------------------------------------------------------------------
-# surgery support
-# ---------------------------------------------------------------------------
-
-
-def _box_contains_puncture(
-    center: Point, pts: Iterable[Point], n: int, skip: int | None
-) -> bool:
-    """Any puncture other than ``skip`` inside the bounding box of the move?
-
-    The modified region of every surgery is contained in this box, so an
-    empty box guarantees the move changes nothing about puncture enclosure.
-    """
-    xs = [center[0]]
-    ys = [center[1]]
-    for q in pts:
-        xs.append(q[0])
-        ys.append(q[1])
-    x0, x1, y0, y1 = min(xs), max(xs), min(ys), max(ys)
-    for i in range(1, n + 1):
-        if i == skip:
-            continue
-        q = puncture_position(i)
-        if x0 <= q[0] <= x1 and y0 <= q[1] <= y1:
-            return True
-    return False
-
-
-def _rebuild(
-    st: _State,
-    removed: set[int],
-    new_strands: list[_Strand],
-    local_points: list[Point],
-    center: Point,
-    skip_puncture: int | None,
-) -> tuple[_State | None, list[_XC]]:
-    """Candidate state after a surgery, or (None, []) if general position fails.
-
-    Crossings on untouched strands are kept verbatim; everything touching a
-    new strand is rescanned exactly.  The caller checks that the rescanned
-    crossings are exactly the ones its move allows.
-    """
-    if _box_contains_puncture(center, local_points, st.n, skip_puncture):
-        return None, []
-    strands = {sid: s for sid, s in st.strands.items() if sid not in removed}
-    for s in new_strands:
-        strands[s.sid] = s
-    changed = {s.sid for s in new_strands}
-    errors, new_crossings = _scan(strands, st.n, changed)
-    if errors:
-        return None, []
-    kept = [xc for xc in st.crossings if xc[1][0] not in removed and xc[2][0] not in removed]
-    if _triple_point_errors(kept + new_crossings):
-        return None, []
-    candidate = _State(
-        n=st.n,
-        coeff=st.coeff,
-        strands=strands,
-        over=dict(st.over),
-        crossings=kept + new_crossings,
-        next_sid=st.next_sid + len(new_strands),
-    )
-    return candidate, new_crossings
-
-
-def _old_points_touching(st: _State, removed: set[int]) -> set[Point]:
-    return {
-        xc[0]
-        for xc in st.crossings
-        if xc[1][0] in removed or xc[2][0] in removed
-    }
-
-
-# ---------------------------------------------------------------------------
-# crossing smoothing
-# ---------------------------------------------------------------------------
-
-
-def _cut_pieces(st: _State, xc: _XC) -> tuple[list[dict], set[int]]:
-    """Cut the crossing's strands at its point; pieces keep surviving ends.
-
-    A piece is {"points": [...], "start": Attachment|None, "end": ...} where
-    the crossing point itself appears as a sentinel first/last point.
-    """
-    x, (sid1, k1), (sid2, k2) = xc
-
-    def cut(strand: _Strand, cuts: list[int]) -> list[dict]:
-        pts = strand.points
-        m = len(pts)
-        if strand.closed:
-            if len(cuts) == 1:
-                k = cuts[0]
-                run = [x] + [pts[(k + 1 + t) % m] for t in range(m)] + [x]
-                return [{"points": run, "start": None, "end": None}]
-            ka, kb = sorted(cuts)
-            runA = [x] + [pts[(ka + 1 + t) % m] for t in range((kb - ka) % m)] + [x]
-            runB = [x] + [pts[(kb + 1 + t) % m] for t in range((ka - kb) % m)] + [x]
-            return [
-                {"points": runA, "start": None, "end": None},
-                {"points": runB, "start": None, "end": None},
-            ]
-        if len(cuts) == 1:
-            k = cuts[0]
-            return [
-                {"points": list(pts[: k + 1]) + [x], "start": strand.start, "end": None},
-                {"points": [x] + list(pts[k + 1 :]), "start": None, "end": strand.end},
-            ]
-        ka, kb = sorted(cuts)
-        return [
-            {"points": list(pts[: ka + 1]) + [x], "start": strand.start, "end": None},
-            {"points": [x] + list(pts[ka + 1 : kb + 1]) + [x], "start": None, "end": None},
-            {"points": [x] + list(pts[kb + 1 :]), "start": None, "end": strand.end},
-        ]
-
-    if sid1 == sid2:
-        return cut(st.strands[sid1], [k1, k2]), {sid1}
-    return cut(st.strands[sid1], [k1]) + cut(st.strands[sid2], [k2]), {sid1, sid2}
-
-
-def _piece_x_ends(pieces: list[dict], x: Point) -> list[tuple[int, str, Dir]]:
-    """(piece, 'head'|'tail', approach direction) of every cut end."""
-    ends = []
-    for pi, piece in enumerate(pieces):
-        pts = piece["points"]
-        if pts[0] == x:
-            ends.append((pi, "head", primitive_dir(vsub(pts[1], x))))
-        if pts[-1] == x:
-            ends.append((pi, "tail", primitive_dir(vsub(pts[-2], x))))
-    return ends
-
-
-def _weld(
-    pieces: list[dict],
-    joints: dict[tuple[int, str], tuple[int, str]],
-    x: Point,
-    t: Fraction,
-    next_sid: int,
-) -> list[_Strand]:
-    """Assemble pieces into strands, cutting each welded corner at scale t.
-
-    At a joint the pattern [..., u, x] + [x, w, ...] becomes
-    [..., u, x + t(u - x), x + t(w - x), w, ...]: the corner is bypassed by
-    a chord, so the two new strands through the old crossing stay disjoint.
-    """
-
-    def oriented(pi: int, entry: str) -> list[Point]:
-        pts = pieces[pi]["points"]
-        return list(pts) if entry == "head" else list(reversed(pts))
-
-    def shrink(u: Point) -> Point:
-        return vadd(x, smul(t, vsub(u, x)))
-
-    def attachment(pi: int, end: str):
-        return pieces[pi]["start"] if end == "head" else pieces[pi]["end"]
-
-    consumed: set[int] = set()
-    out: list[_Strand] = []
-    sid = next_sid
-
-    # Open chains start at a free (non-x) piece end.
-    for pi, piece in enumerate(pieces):
-        if pi in consumed:
-            continue
-        pts = piece["points"]
-        if pts[0] != x:
-            entry = "head"
-        elif pts[-1] != x:
-            entry = "tail"
-        else:
-            continue
-        start_att = attachment(pi, entry)
-        chain: list[Point] = []
-        cur, centry = pi, entry
-        while True:
-            consumed.add(cur)
-            run = oriented(cur, centry)
-            cexit = "tail" if centry == "head" else "head"
-            core = run[1:] if run[0] == x else run
-            trailing = core[-1] == x
-            if trailing:
-                core = core[:-1]
-            if chain:
-                chain.append(shrink(core[0]))
-            chain.extend(core)
-            if not trailing:
-                out.append(_Strand(sid, chain, False, start_att, attachment(cur, cexit)))
-                sid += 1
-                break
-            chain.append(shrink(core[-1]))
-            cur, centry = joints[(cur, cexit)]
-    # Whatever remains forms x-to-x cycles.
-    for pi in range(len(pieces)):
-        if pi in consumed:
-            continue
-        chain = []
-        start_key = (pi, "head")
-        cur, centry = pi, "head"
-        while True:
-            consumed.add(cur)
-            run = oriented(cur, centry)
-            cexit = "tail" if centry == "head" else "head"
-            core = run[1:-1]
-            chain.append(shrink(core[0]))
-            chain.extend(core)
-            chain.append(shrink(core[-1]))
-            nxt = joints[(cur, cexit)]
-            if nxt == start_key:
-                break
-            cur, centry = nxt
-        out.append(_Strand(sid, chain, True, None, None))
-        sid += 1
-    return out
-
-
-def _smooth_crossing(st: _State, xc: _XC, sign: int) -> _State:
-    """One Kauffman smoothing of a crossing; sign +1 is the A term."""
-    x = xc[0]
-    pieces, removed = _cut_pieces(st, xc)
-    ends = _piece_x_ends(pieces, x)
-    assert len(ends) == 4, "a crossing has four local strand ends"
-    over_dir = st.over[x]
-    over_ends = [e for e in ends if canon_dir(e[2]) == over_dir]
-    under_ends = [e for e in ends if canon_dir(e[2]) != over_dir]
-    assert len(over_ends) == 2 and len(under_ends) == 2
-    # A-regions are swept by rotating the over line counterclockwise onto the
-    # under line; the A-smoothing joins them, i.e. each over end connects to
-    # the under end clockwise from it (negative cross product).
-    joints: dict[tuple[int, str], tuple[int, str]] = {}
-    for pi, pe, pd in over_ends:
-        matches = [
-            (qi, qe)
-            for qi, qe, qd in under_ends
-            if (cross(pd, qd) < 0) == (sign > 0)
-        ]
-        assert len(matches) == 1, "smoothing pairing must be unique"
-        joints[(pi, pe)] = matches[0]
-        joints[matches[0]] = (pi, pe)
-
-    expected = _old_points_touching(st, removed) - {x}
-    neighbors = [
-        pieces[pi]["points"][1] if pe == "head" else pieces[pi]["points"][-2]
-        for pi, pe, _ in ends
-    ]
-    t = Fraction(1, 4)
-    for _ in range(MAX_SHRINK):
-        new_strands = _weld(pieces, joints, x, t, st.next_sid)
-        # the modified region is spanned by the four shrunk corner points
-        corners = [vadd(x, smul(t, vsub(u, x))) for u in neighbors]
-        cand, new_cross = _rebuild(st, removed, new_strands, corners, x, None)
-        if cand is not None and {c[0] for c in new_cross} == expected:
-            cand.coeff = st.coeff * ring.a_power(sign, st.n)
-            del cand.over[x]
-            assert len(cand.crossings) == len(st.crossings) - 1
-            assert cand.endpoint_count() == st.endpoint_count()
-            return cand
-        t = t / 2
-    raise RuntimeError("crossing smoothing could not restore general position")
-
-
-# ---------------------------------------------------------------------------
-# puncture-pair resolution
-# ---------------------------------------------------------------------------
-
-
-def _thin_detour(r_hi: Dir, candidates: list[Dir], r_lo: Dir, clockwise: bool) -> list[Dir]:
-    """Drop detour directions while keeping every angular gap under a half turn.
-
-    Gaps below a half turn keep each detour chord inside its wedge, so the
-    polyline winds monotonically around the puncture and stays off it.
-    """
-    sgn = -1 if clockwise else 1
-
-    def gap_ok(u: Dir, v: Dir) -> bool:
-        c = sgn * cross(u, v)
-        return c > 0 or (c == 0 and dot(u, v) > 0)
-
-    thinned: list[Dir] = []
-    last = r_hi
-    for d in candidates:
-        if dot(last, d) <= 0:
-            thinned.append(d)
-            last = d
-    for mids in (thinned, candidates):
-        chain = [r_hi] + mids + [r_lo]
-        if all(gap_ok(u, v) for u, v in zip(chain, chain[1:])):
-            return mids
-    raise RuntimeError("no admissible detour directions around the puncture")
-
-
-def _join_pair(st: _State, p_idx: int, hi: _End, lo: _End, sign: int) -> _State:
-    """Join two height-adjacent ends at a puncture; sign +1 is the A^(1/2) term.
-
-    The two strands become one, detouring around the puncture: for the
-    A^(1/2) smoothing the higher strand turns left, which sweeps clockwise
-    from its incoming ray; A^(-1/2) sweeps counterclockwise.  New crossings
-    with the remaining ends at the puncture are over/under by height.
-    """
-    p = puncture_position(p_idx)
-    h_hi, sid_hi, side_hi = hi
-    h_lo, sid_lo, side_lo = lo
-    s_hi = st.strands[sid_hi]
-    s_lo = st.strands[sid_lo]
-    # orient so the hi polyline ends at p and the lo polyline starts at p
-    pts_hi = list(s_hi.points) if side_hi == "end" else list(reversed(s_hi.points))
-    pts_lo = list(s_lo.points) if side_lo == "start" else list(reversed(s_lo.points))
-    u, w = pts_hi[-2], pts_lo[1]
-    r_hi = primitive_dir(vsub(u, p))
-    r_lo = primitive_dir(vsub(w, p))
-    clockwise = sign > 0
-    # detour vertices sit at p + t*d; d must not point along any strand end
-    # at p, or the vertex lands on that strand at every scale
-    blocked_rays = []
-    for _, o_sid, o_side in _ends_at(st, p_idx):
-        strand = st.strands[o_sid]
-        neighbor = strand.points[1] if o_side == "start" else strand.points[-2]
-        blocked_rays.append(primitive_dir(vsub(neighbor, p)))
-    usable = [
-        d
-        for d in COMPASS16
-        if cross(r_hi, d) != 0
-        and cross(r_lo, d) != 0
-        and not any(cross(ray, d) == 0 and dot(ray, d) > 0 for ray in blocked_rays)
-    ]
-    candidates: list[Dir] = []
-    for d in sort_by_angle_from(r_hi, usable + [r_lo], clockwise):
-        if d == r_lo:
-            break
-        candidates.append(d)
-    mids = _thin_detour(r_hi, candidates, r_lo, clockwise)
-
-    removed = {sid_hi, sid_lo}
-    expected = _old_points_touching(st, removed)
-    pair_heights = (min(h_hi, h_lo), max(h_hi, h_lo))
-    t = Fraction(1, 4)
-    for _ in range(MAX_SHRINK):
-        a = vadd(p, smul(t, vsub(u, p)))
-        b = vadd(p, smul(t, vsub(w, p)))
-        detour = [a] + [vadd(p, smul(t, (Fraction(dx), Fraction(dy)))) for dx, dy in mids] + [b]
-        if sid_hi == sid_lo:
-            new = _Strand(st.next_sid, detour + pts_lo[1:-1], True, None, None)
-            det_range = range(0, len(detour) - 1)
-        else:
-            points = pts_hi[:-1] + detour + pts_lo[1:]
-            start_att = s_hi.attachment("start" if side_hi == "end" else "end")
-            end_att = s_lo.attachment("end" if side_lo == "start" else "start")
-            new = _Strand(st.next_sid, points, False, start_att, end_att)
-            ia = len(pts_hi) - 1
-            det_range = range(ia, ia + len(detour) - 1)
-        cand, new_cross = _rebuild(st, removed, [new], detour, p, p_idx)
-        if cand is None:
-            t = t / 2
-            continue
-        got = {c[0] for c in new_cross}
-        if not expected <= got:
-            t = t / 2
-            continue
-        ok = True
-        over_updates: dict[Point, Dir] = {}
-        for point, ka, kb in new_cross:
-            if point in expected:
-                continue
-            if ka[0] == new.sid and ka[1] in det_range:
-                det_key, other_key = ka, kb
-            elif kb[0] == new.sid and kb[1] in det_range:
-                det_key, other_key = kb, ka
-            else:
-                ok = False
-                break
-            other = cand.strands[other_key[0]]
-            height = None
-            for side in ("start", "end"):
-                att = None if other.closed else other.attachment(side)
-                if (
-                    att is not None
-                    and att.puncture == p_idx
-                    and other.terminal_segment(side) == other_key[1]
-                ):
-                    height = att.height
-            if height is None:
-                ok = False
-                break
-            # the joined pair occupies the height interval between its ends
-            if height > pair_heights[1]:
-                over_updates[point] = _seg_dir(other, other_key[1])
-            elif height < pair_heights[0]:
-                over_updates[point] = _seg_dir(cand.strands[det_key[0]], det_key[1])
-            else:  # pragma: no cover - adjacency forbids interleaved heights
-                ok = False
-                break
-        if not ok:
-            t = t / 2
-            continue
-        cand.coeff = st.coeff * ring.v_power(p_idx, st.n, -1) * ring.a_half_power(sign, st.n)
-        cand.over.update(over_updates)
-        assert cand.endpoint_count() == st.endpoint_count() - 2
-        return cand
-    raise RuntimeError("puncture-pair resolution could not restore general position")
-
-
-# ---------------------------------------------------------------------------
-# loop removal, classification, rendering
-# ---------------------------------------------------------------------------
-
-
-def _enclosed_set(strand: _Strand, n: int) -> frozenset[int]:
-    return frozenset(
-        q
-        for q in range(1, n + 1)
-        if winding_number(strand.points, puncture_position(q)) != 0
-    )
-
-
-def _remove_loops_state(st: _State) -> _State:
-    assert not st.crossings, "loop removal requires a crossingless state"
-    coeff = st.coeff
-    strands: dict[int, _Strand] = {}
-    for sid, s in st.strands.items():
-        if s.closed:
-            enclosed = _enclosed_set(s, st.n)
-            if len(enclosed) == 0:
-                coeff = coeff * ring.loop_scalar(st.n)
-                continue
-            if len(enclosed) == 1:
-                coeff = coeff * ring.puncture_loop_scalar(st.n)
-                continue
-        strands[sid] = s
-    return _State(st.n, coeff, strands, dict(st.over), [], st.next_sid)
 
 
 _ARC_GENS: dict[int, dict[tuple[int, int], Generator]] = {
@@ -913,53 +587,60 @@ _ARC_GENS: dict[int, dict[tuple[int, int], Generator]] = {
 }
 
 
-def _render_state(st: _State) -> AlgElement:
-    """Terminal state -> coefficient times a word in the arc generators.
-
-    Arcs are ordered by height (stacking order); surviving loops are scalar
-    because min(|enclosed|, n - |enclosed|) <= 1 whenever n <= 3.
-    """
-    coeff = st.coeff
-    arcs: list[tuple[int, tuple[int, int]]] = []
-    for s in st.strands.values():
-        if s.closed:
-            enclosed = _enclosed_set(s, st.n)
-            size = min(len(enclosed), st.n - len(enclosed))
-            if size == 0:
-                coeff = coeff * ring.loop_scalar(st.n)
-            elif size == 1:
-                coeff = coeff * ring.puncture_loop_scalar(st.n)
-            else:  # pragma: no cover - impossible for n <= 3
-                raise DiagramError(f"loop around {set(enclosed)} is not scalar for n = {st.n}")
+def _terminal(sk: _Skeleton, st: _State) -> WeightedState:
+    """Walk the curves of a terminal state: arcs give the word, ordered by
+    the lower height of their two ends, and loops give scalars."""
+    n = sk.n
+    partner: dict[int, int] = {}
+    node = st.links
+    while node is not None:
+        pairs, node = node
+        for a, b in pairs:
+            partner[a] = b
+            partner[b] = a
+    seen: set[int] = set()
+    arcs = []
+    for at_p in st.ends:
+        for _, e in at_p:
+            f = e ^ 1
+            seen.update((e, f))
+            while f in partner:
+                f = partner[f] ^ 1
+                seen.update((f, f ^ 1))
+            (p, h), (q, g) = sk.at[e], sk.at[f]
+            if p < q:
+                arcs.append((min(h, g), (p, q)))
+    coeff = LaurentPoly(n, {Monomial(st.half_a, st.vexp): 1})
+    for start in partner:
+        if start in seen:
+            continue
+        winding = [0] * n
+        e = start
+        while True:
+            seen.update((e, e ^ 1))
+            winding = [w + c for w, c in zip(winding, sk.count[e])]
+            e = partner[e ^ 1]
+            if e == start:
+                break
+        enclosed = sum(1 for w in winding if w)
+        if min(enclosed, n - enclosed) == 0:
+            coeff = coeff * ring.loop_scalar(n)
         else:
-            i, j = s.start.puncture, s.end.puncture
-            if i == j:  # pragma: no cover - resolved away before rendering
-                raise DiagramError("terminal state contains a reducible arc")
-            arcs.append((min(s.start.height, s.end.height), (min(i, j), max(i, j))))
-    word = tuple(_ARC_GENS[st.n][ij] for _, ij in sorted(arcs))
-    return AlgElement.from_word(word, st.n, coeff)
+            coeff = coeff * ring.puncture_loop_scalar(n)
+    word = tuple(_ARC_GENS[n][ij] for _, ij in sorted(arcs))
+    return WeightedState(coeff, word)
 
 
-# ---------------------------------------------------------------------------
-# the evaluator
-# ---------------------------------------------------------------------------
-
-
-def _default_pick(st: _State) -> tuple[int, _End, _End] | None:
-    for p in range(1, st.n + 1):
-        ends = _ends_at(st, p)
-        if len(ends) >= 2:
-            return p, ends[1], ends[0]
+def _default_pick(st: _State) -> tuple[int, int] | None:
+    for p, at_p in enumerate(st.ends, start=1):
+        if len(at_p) >= 2:
+            return p, 0
     return None
 
 
-def _random_pick(rng) -> Callable[[_State], tuple[int, _End, _End] | None]:
-    def pick(st: _State):
-        options = []
-        for p in range(1, st.n + 1):
-            ends = _ends_at(st, p)
-            for i in range(len(ends) - 1):
-                options.append((p, ends[i + 1], ends[i]))
+def _random_pick(rng):
+    def pick(st: _State) -> tuple[int, int] | None:
+        options = [(p, i) for p, at_p in enumerate(st.ends, start=1) for i in range(len(at_p) - 1)]
         if not options:
             return None
         return options[rng.randrange(len(options))]
@@ -967,25 +648,39 @@ def _random_pick(rng) -> Callable[[_State], tuple[int, _End, _End] | None]:
     return pick
 
 
-def _terminal_states(d: Diagram, chooser) -> list[_State]:
-    if d.n > 3:
-        raise DiagramError("evaluation is defined for punctured spheres with n <= 3")
-    todo = [_state_from_diagram(d)]
-    out: list[_State] = []
+def resolve_fully(d: Diagram, rng=None) -> list[WeightedState]:
+    """The terminal states of the resolution tree, one weighted word each.
+
+    With ``rng`` given, admissible puncture pairs are chosen at random
+    instead of lowest-first; the sum of the states must not depend on the
+    choice.
+    """
+    if d.n == 1 or d.n > 3:
+        raise DiagramError(
+            "evaluation is defined for punctured spheres with n = 0, 2 or 3"
+            " (on the once-punctured sphere the loop around the puncture"
+            " bounds a disk on its other side)"
+        )
+    errors, crossings = _validated(d)
+    if errors:
+        raise DiagramError(errors)
+    sk, root = _skeleton(d, crossings)
+    chooser = _default_pick if rng is None else _random_pick(rng)
+    todo = [root]
+    out: list[WeightedState] = []
     while todo:
         st = todo.pop()
-        if st.crossings:
-            xc = min(st.crossings, key=lambda c: c[0])
-            todo.append(_smooth_crossing(st, xc, +1))
-            todo.append(_smooth_crossing(st, xc, -1))
+        if st.pending:
+            todo.append(_smooth(sk, st, +1))
+            todo.append(_smooth(sk, st, -1))
             continue
         pick = chooser(st)
         if pick is not None:
-            p, hi, lo = pick
-            todo.append(_join_pair(st, p, hi, lo, +1))
-            todo.append(_join_pair(st, p, hi, lo, -1))
+            p, i = pick
+            todo.append(_join(sk, st, p, i, +1))
+            todo.append(_join(sk, st, p, i, -1))
             continue
-        out.append(_remove_loops_state(st))
+        out.append(_terminal(sk, st))
     return out
 
 
@@ -995,108 +690,38 @@ def evaluate(d: Diagram, rng=None) -> AlgElement:
     With ``rng`` given, admissible puncture pairs are chosen at random
     instead of lowest-first; the result must not depend on the choice.
     """
-    chooser = _default_pick if rng is None else _random_pick(rng)
-    states = _terminal_states(d, chooser)
-    total = AlgElement.zero(d.n)
-    for st in states:
-        total = total + _render_state(st)
+    total = AlgElement(d.n, ((ws.word, ws.coefficient) for ws in resolve_fully(d, rng)))
     if d.n >= 2:
         total = presentations.nf(presentations.Surface(0, d.n), total)
     return total
 
 
-def resolve_fully(d: Diagram, rng=None) -> list[WeightedState]:
-    """The terminal weighted states of the resolution tree, loops removed."""
-    chooser = _default_pick if rng is None else _random_pick(rng)
-    return [
-        WeightedState(st.coeff, _diagram_from_state(st))
-        for st in _terminal_states(d, chooser)
-    ]
-
-
-# ---------------------------------------------------------------------------
-# public single-step operations
-# ---------------------------------------------------------------------------
-
-
-def resolve_crossing(state: WeightedState, key: CrossKey) -> tuple[WeightedState, WeightedState]:
-    """The two smoothings (A term first) of one crossing of the diagram."""
-    st = _state_from_diagram(state.diagram, state.coefficient)
-    for xc in st.crossings:
-        if (xc[1], xc[2]) == tuple(key):
-            target = xc
-            break
-    else:
-        raise DiagramError(f"unknown crossing id {key}")
-    plus = _smooth_crossing(st, target, +1)
-    minus = _smooth_crossing(st, target, -1)
-    return (
-        WeightedState(plus.coeff, _diagram_from_state(plus)),
-        WeightedState(minus.coeff, _diagram_from_state(minus)),
-    )
-
-
-def resolve_puncture_pair(
-    state: WeightedState, puncture: int, pair: Sequence[tuple[int, str]]
-) -> tuple[WeightedState, WeightedState]:
-    """The two detours (A^(1/2) term first) joining two adjacent ends.
-
-    ``pair`` names the ends as (component index, "start"|"end"); they must
-    attach to the puncture at adjacent heights.
-    """
-    st = _state_from_diagram(state.diagram, state.coefficient)
-    ends = _ends_at(st, puncture)
-
-    def locate(ref: tuple[int, str]) -> _End:
-        comp, side = ref
-        for e in ends:
-            if e[1] == comp and e[2] == side:
-                return e
-        raise DiagramError(f"no end of component {comp} ({side}) at puncture {puncture}")
-
-    e1, e2 = locate(tuple(pair[0])), locate(tuple(pair[1]))
-    if abs(ends.index(e1) - ends.index(e2)) != 1:
-        raise DiagramError("the two ends are not height-adjacent at the puncture")
-    hi, lo = (e1, e2) if e1[0] > e2[0] else (e2, e1)
-    plus = _join_pair(st, puncture, hi, lo, +1)
-    minus = _join_pair(st, puncture, hi, lo, -1)
-    return (
-        WeightedState(plus.coeff, _diagram_from_state(plus)),
-        WeightedState(minus.coeff, _diagram_from_state(minus)),
-    )
-
-
-def remove_trivial_loops(state: WeightedState) -> WeightedState:
-    """Delete loops around zero punctures (factor -A^2 - A^-2) or exactly
-    one (factor A + A^-1); requires a crossingless diagram."""
-    st = _state_from_diagram(state.diagram, state.coefficient)
-    if st.crossings:
-        raise DiagramError("loop removal requires a crossingless diagram")
-    done = _remove_loops_state(st)
-    return WeightedState(done.coeff, _diagram_from_state(done))
-
-
-def classify_terminal(state: WeightedState) -> list[Loop | Arc]:
-    """The multiset of simple classes of a terminal state, canonicalized."""
-    d = state.diagram
+def classify_terminal(d: Diagram) -> list[Loop | Arc]:
+    """The multiset of simple classes of a crossingless diagram, canonicalized."""
     if d.n > 3:
         raise DiagramError("classification is defined for n <= 3 only")
-    st = _state_from_diagram(d, state.coefficient)
-    if st.crossings:
+    errors = validate(d)
+    if errors:
+        raise DiagramError(errors)
+    if d.over:
         raise DiagramError("terminal classification requires a crossingless diagram")
     out: list[Loop | Arc] = []
-    for s in st.strands.values():
-        if s.closed:
-            enclosed = _enclosed_set(s, st.n)
+    for c in d.components:
+        if c.closed:
+            enclosed = frozenset(
+                q
+                for q in range(1, d.n + 1)
+                if winding_number(c.points, puncture_position(q)) != 0
+            )
             if len(enclosed) <= 1:
                 raise DiagramError(
-                    "trivial or one-puncture loop present; remove trivial loops first"
+                    "a loop around fewer than two punctures is a scalar, not a simple class"
                 )
             if 1 not in enclosed:
                 enclosed = frozenset(range(1, d.n + 1)) - enclosed
             out.append(Loop(enclosed))
         else:
-            i, j = s.start.puncture, s.end.puncture
+            i, j = c.start.puncture, c.end.puncture
             if i == j:
                 raise DiagramError("open component with both ends at one puncture is reducible")
             out.append(Arc(min(i, j), max(i, j)))
@@ -1150,6 +775,35 @@ def _translate(c: Component, delta: tuple[Fraction, Fraction]) -> Component:
     return Component(tuple(moved), c.closed, c.start, c.end)
 
 
+def _in_hull(q: Point, corners: Sequence[Point]) -> bool:
+    """Is q in the closed convex hull of at most four corners?"""
+    for x, y in combinations(corners, 2):
+        if q in (x, y) or on_segment_interior(q, x, y):
+            return True
+    for x, y, z in combinations(corners, 3):
+        sides = [cross(vsub(v, u), vsub(q, u)) for u, v in ((x, y), (y, z), (z, x))]
+        if all(c > 0 for c in sides) or all(c < 0 for c in sides):
+            return True
+    return False
+
+
+def _sweeps_puncture(before: Sequence[Component], after: Sequence[Component], n: int) -> bool:
+    """Does moving each component from ``before`` to ``after`` sweep a puncture?
+
+    A translated segment sweeps a parallelogram, or a triangle when one end
+    is pinned at its puncture; that puncture itself does not count.
+    """
+    for c0, c1 in zip(before, after):
+        for k in range(c0.segment_count()):
+            a, b = c0.segment(k)
+            corners = list(dict.fromkeys((a, b) + c1.segment(k)))
+            for i in range(1, n + 1):
+                q = puncture_position(i)
+                if q not in (a, b) and _in_hull(q, corners):
+                    return True
+    return False
+
+
 def _try_stack(
     d1: Diagram, d2_components: tuple[Component, ...], d2: Diagram, seg_parent
 ) -> Diagram | None:
@@ -1161,11 +815,7 @@ def _try_stack(
     errors = _structural_errors(candidate)
     if errors:
         return None
-    strands = {
-        ci: _Strand(ci, list(c.points), c.closed, c.start, c.end)
-        for ci, c in enumerate(comps)
-    }
-    scan_errors, crossings = _scan(strands, n)
+    scan_errors, crossings = _scan(comps, n)
     if scan_errors or _triple_point_errors(crossings):
         return None
     over: dict[CrossKey, str] = {}
@@ -1223,16 +873,12 @@ def stack(d1: Diagram, d2: Diagram) -> Diagram:
         for scale in _PERTURB_SCALES:
             delta = (scale * dx, scale * dy)
             moved = tuple(_translate(c, delta) for c in subdivided)
+            if _sweeps_puncture(subdivided, moved, d1.n):
+                continue
             result = _try_stack(d1, moved, d2s, lambda k: k // 2)
             if result is not None:
                 return result
-    witness, _ = _scan(
-        {
-            ci: _Strand(ci, list(c.points), c.closed, c.start, c.end)
-            for ci, c in enumerate(tuple(d1.components) + shifted)
-        },
-        d1.n,
-    )
+    witness, _ = _scan(tuple(d1.components) + shifted, d1.n)
     raise DiagramError(
         ["stacking could not restore general position by perturbation"] + witness[:4]
     )

@@ -7,9 +7,8 @@ reduced to primitive integer vectors so they hash and compare exactly.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cmp_to_key
 from math import gcd
-from typing import Iterable, Sequence
+from typing import Sequence
 
 Point = tuple[Fraction, Fraction]
 Vec = tuple[Fraction, Fraction]
@@ -19,35 +18,17 @@ __all__ = [
     "Point",
     "Vec",
     "Dir",
-    "pt",
     "vsub",
     "vadd",
     "smul",
     "cross",
     "dot",
     "primitive_dir",
-    "canon_dir",
     "SegHit",
     "segment_hit",
     "on_segment_interior",
     "winding_number",
-    "sort_by_angle_from",
-    "COMPASS",
-    "COMPASS16",
 ]
-
-COMPASS: tuple[Dir, ...] = ((1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1), (1, -1))
-
-#16 directions, at most 22.5 degrees apart; detour construction drops the few
-# that are collinear with incident strands and still has gaps under a half turn
-COMPASS16: tuple[Dir, ...] = (
-    (1, 0), (2, 1), (1, 1), (1, 2), (0, 1), (-1, 2), (-1, 1), (-2, 1),
-    (-1, 0), (-2, -1), (-1, -1), (-1, -2), (0, -1), (1, -2), (1, -1), (2, -1),
-)
-
-
-def pt(x, y) -> Point:
-    return (Fraction(x), Fraction(y))
 
 
 def vsub(a: Point, b: Point) -> Vec:
@@ -83,14 +64,6 @@ def primitive_dir(v: Vec) -> Dir:
     y = num2 * den1
     g = gcd(abs(x), abs(y))
     return (x // g, y // g)
-
-
-def canon_dir(v: Vec) -> Dir:
-    """Primitive direction up to sign: the representative with (x, y) > (0, *)."""
-    d = primitive_dir(v)
-    if d[0] < 0 or (d[0] == 0 and d[1] < 0):
-        d = (-d[0], -d[1])
-    return d
 
 
 class SegHit:
@@ -163,33 +136,3 @@ def winding_number(points: Sequence[Point], q: Point) -> int:
         elif b[1] <= qy < a[1] and cross(vsub(b, a), vsub(q, a)) < 0:
             w -= 1
     return w
-
-
-def sort_by_angle_from(ref: Dir, dirs: Iterable[Dir], clockwise: bool) -> list[Dir]:
-    """Directions ordered by rotation angle from ``ref`` in (0, 2*pi).
-
-    Directions collinear with ``ref`` (same or opposite) are handled: same
-    direction sorts first, opposite at the half turn.
-    """
-    sign = -1 if clockwise else 1
-
-    def rank(d: Dir) -> int:
-        c = sign * cross(ref, d)
-        if c == 0:
-            return 0 if dot(ref, d) > 0 else 2
-        return 1 if c > 0 else 3
-
-    def cmp(d1: Dir, d2: Dir) -> int:
-        r1, r2 = rank(d1), rank(d2)
-        if r1 != r2:
-            return -1 if r1 < r2 else 1
-        if r1 in (0, 2):
-            return 0
-        c = sign * cross(d1, d2)
-        if c > 0:
-            return -1
-        if c < 0:
-            return 1
-        return 0
-
-    return sorted(dirs, key=cmp_to_key(cmp))

@@ -103,7 +103,7 @@ def test_eval_diagram(tmp_path, capsys):
     code, out, _ = run(capsys, "eval-diagram", str(path))
     assert code == 0
     assert out.strip() == "(A^(1/2)*v3^-1 + A^(-1/2)*v3^-1)*a3"
-    code, out, _ = run(capsys, "eval-diagram", str(path), "--json", "--jobs", "2")
+    code, out, _ = run(capsys, "eval-diagram", str(path), "--json")
     assert code == 0
     assert json.loads(out)["terms"][0]["word"] == ["a3"]
 
