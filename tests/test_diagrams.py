@@ -36,7 +36,9 @@ from arcalg import (
     v_power,
     validate,
 )
+from arcalg.diagrams import _join, _skeleton, _smooth, _validated
 from arcalg.presentations import GENS_A3, GEN_A
+from arcalg.ring import LaurentPoly, Monomial
 
 A1, A2, A3 = GENS_A3
 
@@ -171,6 +173,49 @@ def test_kink_resolution_tree_size():
     assert len(resolve_fully(Diagram(0, (comp,), {key: "a"}))) == 2
 
 
+def _root(d):
+    """The skeleton and root state of the resolution tree of ``d``."""
+    errors, crossings = _validated(d)
+    assert errors == []
+    return _skeleton(d, crossings)
+
+
+def _state_coefficient(n, st):
+    return LaurentPoly(n, {Monomial(st.half_a, st.vexp): 1})
+
+
+def _far_end(st, e):
+    """The end reached by walking the curve that starts at end ``e``."""
+    partner = {}
+    node = st.links
+    while node is not None:
+        pairs, node = node
+        for a, b in pairs:
+            partner[a] = b
+            partner[b] = a
+    f = e ^ 1
+    while f in partner:
+        f = partner[f] ^ 1
+    return f
+
+
+def test_resolve_crossing_single_step():
+    l1 = loop_component(0, 4, 0, 1)
+    l2 = loop_component(3, 5, -1, 2)
+    d0 = Diagram(0, (l1, l2), {})
+    keys = [k for k, _ in diagram_crossings(d0)]
+    d = Diagram(0, (l1, l2), {k: "b" for k in keys})
+    sk, root = _root(d)
+    assert len(root.pending) == 2
+    plus, minus = _smooth(sk, root, +1), _smooth(sk, root, -1)
+    assert _state_coefficient(0, plus) == a_power(1, 0)
+    assert _state_coefficient(0, minus) == a_power(-1, 0)
+    for child in (plus, minus):
+        assert len(child.pending) == 1
+    with pytest.raises(DiagramError):
+        resolve_fully(Diagram(0, (l1, l2), {**d.over, ((7, 7), (8, 8)): "a"}))
+
+
 def test_r2_pair_full_resolution():
     l1 = loop_component(0, 4, 0, 1)
     l2 = loop_component(3, 5, -1, 2)
@@ -185,6 +230,22 @@ def test_r2_pair_full_resolution():
     )
     uncrossed = Diagram(0, (loop_component(0, 1), loop_component(2, 3)), {})
     assert evaluate(d) == evaluate(uncrossed)
+
+
+def test_resolve_puncture_pair_single_step():
+    c1 = tent(2, 1, 2, 0, apex=1)
+    c2 = tent(2, 1, 2, 1, apex=2)
+    d = Diagram(2, (c1, c2), {})
+    sk, root = _root(d)
+    plus, minus = _join(sk, root, 1, 0, +1), _join(sk, root, 1, 0, -1)
+    # coefficients are v1^-1 A^(1/2) and v1^-1 A^(-1/2)
+    assert _state_coefficient(2, plus) == v_power(1, 2, -1) * a_half_power(1, 2)
+    assert _state_coefficient(2, minus) == v_power(1, 2, -1) * a_half_power(-1, 2)
+    # endpoint count at puncture 1 dropped by two; one arc joins the ends at 2
+    for child in (plus, minus):
+        assert child.ends[0] == ()
+        (_, e), (_, f) = child.ends[1]
+        assert _far_end(child, e) == f
 
 
 def test_alpha_squared_tree_size():
