@@ -29,7 +29,7 @@ from .presentations import (
     algebra_for,
     generator_alphabet,
 )
-from .rewrite import RewriteSystem, complete
+from .rewrite import RewriteSystem, StepBudgetExceeded, complete
 
 __all__ = ["main", "build_parser"]
 
@@ -253,7 +253,11 @@ def main(argv=None) -> int:
         "complete": _cmd_complete,
         "rep-check": _cmd_rep_check,
     }[args.command]
-    return handler(args)
+    try:
+        return handler(args)
+    except StepBudgetExceeded as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
 
 
 if __name__ == "__main__":

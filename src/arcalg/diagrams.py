@@ -631,21 +631,12 @@ def _terminal(sk: _Skeleton, st: _State) -> WeightedState:
     return WeightedState(coeff, word)
 
 
-def _default_pick(st: _State) -> tuple[int, int] | None:
-    for p, at_p in enumerate(st.ends, start=1):
-        if len(at_p) >= 2:
-            return p, 0
-    return None
-
-
-def _random_pick(rng):
-    def pick(st: _State) -> tuple[int, int] | None:
-        options = [(p, i) for p, at_p in enumerate(st.ends, start=1) for i in range(len(at_p) - 1)]
-        if not options:
-            return None
-        return options[rng.randrange(len(options))]
-
-    return pick
+def _pick(st: _State, rng) -> tuple[int, int] | None:
+    """The (puncture, index) of the next pair to join: lowest first, or random."""
+    options = [(p, i) for p, at_p in enumerate(st.ends, start=1) for i in range(len(at_p) - 1)]
+    if not options:
+        return None
+    return options[0] if rng is None else options[rng.randrange(len(options))]
 
 
 def resolve_fully(d: Diagram, rng=None) -> list[WeightedState]:
@@ -665,7 +656,6 @@ def resolve_fully(d: Diagram, rng=None) -> list[WeightedState]:
     if errors:
         raise DiagramError(errors)
     sk, root = _skeleton(d, crossings)
-    chooser = _default_pick if rng is None else _random_pick(rng)
     todo = [root]
     out: list[WeightedState] = []
     while todo:
@@ -674,7 +664,7 @@ def resolve_fully(d: Diagram, rng=None) -> list[WeightedState]:
             todo.append(_smooth(sk, st, +1))
             todo.append(_smooth(sk, st, -1))
             continue
-        pick = chooser(st)
+        pick = _pick(st, rng)
         if pick is not None:
             p, i = pick
             todo.append(_join(sk, st, p, i, +1))

@@ -14,12 +14,12 @@ Supported surfaces (genus, punctures): (0,2), (0,3), (1,0), (1,1).
   and A + A^-1 on the once-punctured torus.
 
 The executable rewrite system of each algebra is the presentation completed
-(Knuth-Bendix) up to a configurable degree bound, so normal forms do not
-depend on reduction order for the identities the suite checks.  The module
-also houses the 4x4 left-regular representation of the (0,3) algebra on the
-module basis (1, a1, a2, a3), exact-rational rank computation for the
-independence check, and the scalar-extension embedding of closed-curve
-elements defined over Z[A, A^-1].
+(Knuth-Bendix) up to degree 6, so normal forms do not depend on reduction
+order for the identities the suite checks.  The module also houses the 4x4
+left-regular representation of the (0,3) algebra on the module basis
+(1, a1, a2, a3), exact-rational rank computation for the independence
+check, and the scalar-extension embedding of closed-curve elements defined
+over Z[A, A^-1].
 
 Everything here is pure and safe to run in parallel.
 """
@@ -72,11 +72,17 @@ class Surface(NamedTuple):
         return f"F{self.genus},{self.punctures}"
 
 
-SUPPORTED_SURFACES = (Surface(0, 2), Surface(0, 3), Surface(1, 0), Surface(1, 1))
-
 GEN_A = Generator("a")
 GENS_A3 = (Generator("a", 1), Generator("a", 2), Generator("a", 3))
 GENS_G3 = (Generator("g", 1), Generator("g", 2), Generator("g", 3))
+
+_GENERATORS = {
+    Surface(0, 2): (GEN_A,),
+    Surface(0, 3): GENS_A3,
+    Surface(1, 0): GENS_G3,
+    Surface(1, 1): GENS_G3,
+}
+SUPPORTED_SURFACES = tuple(_GENERATORS)
 
 
 @dataclass(frozen=True)
@@ -140,14 +146,7 @@ def _check_surface(surface: Surface) -> Surface:
 
 
 def generator_alphabet(surface: Surface) -> dict[str, Generator]:
-    surface = _check_surface(surface)
-    if surface == (0, 2):
-        gens: Sequence[Generator] = (GEN_A,)
-    elif surface == (0, 3):
-        gens = GENS_A3
-    else:
-        gens = GENS_G3
-    return {str(g): g for g in gens}
+    return {str(g): g for g in _GENERATORS[_check_surface(surface)]}
 
 
 def boundary_element(surface: Surface) -> AlgElement:
@@ -172,12 +171,13 @@ def boundary_element(surface: Surface) -> AlgElement:
     )
 
 
-def _sphere2_rules() -> tuple[Rule, ...]:
+def _sphere2_relations():
     n = 2
     c = -(ring.v_power(1, n, -1) * ring.v_power(2, n, -1)) * (
         ring.a_power(1, n) - ring.a_power(-1, n)
     ) ** 2
-    return (Rule((GEN_A, GEN_A), AlgElement.from_scalar(c)),)
+    rhs = AlgElement.from_scalar(c)
+    return ((f"a*a = {rhs}", AlgElement.from_word((GEN_A, GEN_A), n), rhs),)
 
 
 def _sphere3_rules() -> tuple[Rule, ...]:
@@ -199,38 +199,24 @@ def _sphere3_rules() -> tuple[Rule, ...]:
     return tuple(rules)
 
 
-def _torus_rules(n: int, boundary_scalar: LaurentPoly, variant: str) -> tuple[Rule, ...]:
-    g = {i: (Generator("g", i),) for i in (1, 2, 3)}
-    A2 = ring.a_power(2, n)
-    Am2 = ring.a_power(-2, n)
-    comm_factor = ring.a_power(1, n) * (A2 - Am2)  # A (A^2 - A^-2)
-    rules = []
-    for i in (1, 2, 3):
-        ip1 = i % 3 + 1
-        rhs_index = ip1 if variant == VARIANT_LITERAL else (ip1 % 3 + 1)
-        cross = AlgElement.from_word(g[rhs_index], n)
-        if i < 3:
-            # g_{i+1} g_i -> A^2 g_i g_{i+1} - A (A^2 - A^-2) g_{rhs}
-            small = AlgElement.from_word(g[i] + g[ip1], n)
-            rules.append(Rule(g[ip1] + g[i], small * A2 - cross * comm_factor))
-        else:
-            # The i=3 relation reads A g3 g1 - A^-1 g1 g3 = (A^2 - A^-2) g_rhs;
-            # here g3 g1 is the larger word, so solve for it instead:
-            # g3 g1 -> A^-2 g1 g3 + A^-1 (A^2 - A^-2) g_{rhs}
-            small = AlgElement.from_word(g[1] + g[3], n)
-            rhs = small * Am2 + cross * (ring.a_power(-1, n) * (A2 - Am2))
-            rules.append(Rule(g[3] + g[1], rhs))
-    # Cubic from the boundary loop: g1 g2 g3 ->
-    #   A^-1 (boundary scalar + A^2 g1^2 + A^-2 g2^2 + A^2 g3^2 - A^2 - A^-2)
-    Ainv = ring.a_power(-1, n)
-    cubic_rhs = (
-        AlgElement.from_word(g[1] + g[1], n, A2)
-        + AlgElement.from_word(g[2] + g[2], n, Am2)
-        + AlgElement.from_word(g[3] + g[3], n, A2)
-        + AlgElement.from_scalar(boundary_scalar - A2 - Am2)
-    ).scale(Ainv)
-    rules.append(Rule(g[1] + g[2] + g[3], cubic_rhs))
-    return tuple(rules)
+def _sphere3_relations():
+    n = 3
+    d2 = ring.delta(n) ** 2
+    relations = []
+    for i in range(1, 4):
+        j = i % 3 + 1
+        k = 6 - i - j
+        ai = AlgElement.from_generator(Generator("a", i), n)
+        aj = AlgElement.from_generator(Generator("a", j), n)
+        ak = AlgElement.from_generator(Generator("a", k), n)
+        dk = ak * (ring.v_power(k, n, -1) * ring.delta(n))
+        relations.append((f"a{i}*a{j} = a{j}*a{i}", ai * aj, aj * ai))
+        relations.append((f"a{i}*a{j} = v{k}^-1*d*a{k}", ai * aj, dk))
+        vv = ring.v_power(j, n) * ring.v_power(k, n)
+        relations.append(
+            (f"v{j}*v{k}*a{i}^2 = d^2", (ai * ai) * vv, AlgElement.from_scalar(d2))
+        )
+    return tuple(relations)
 
 
 def _torus_relations(n: int, boundary_scalar: LaurentPoly, variant: str):
@@ -257,51 +243,33 @@ def _torus_relations(n: int, boundary_scalar: LaurentPoly, variant: str):
 
 
 @lru_cache(maxsize=None)
-def algebra_for(
-    surface: Surface,
-    variant: str = VARIANT_DEFAULT,
-    degree_bound: int = DEFAULT_DEGREE_BOUND,
-) -> PresentedAlgebra:
-    """The presented algebra of a supported surface, completion included."""
+def algebra_for(surface: Surface, variant: str = VARIANT_DEFAULT) -> PresentedAlgebra:
+    """The presented algebra of a supported surface, completion included.
+
+    The rules are the relations oriented, except on F0,3: there the nine
+    products are the presentation, and the relations are the identities
+    ``verify`` checks.
+    """
     surface = _check_surface(surface)
     if variant not in (VARIANT_DEFAULT, VARIANT_LITERAL):
         raise ValueError(f"unknown variant {variant!r}")
     n = surface.punctures
     boundary: LaurentPoly | None = None
     if surface == (0, 2):
-        gens: tuple[Generator, ...] = (GEN_A,)
-        rules = _sphere2_rules()
-        sq = rules[0]
-        relations = ((f"a*a = {sq.rhs}", AlgElement.from_word((GEN_A, GEN_A), n), sq.rhs),)
+        relations = _sphere2_relations()
     elif surface == (0, 3):
-        gens = GENS_A3
-        rules = _sphere3_rules()
-        d2 = ring.delta(n) ** 2
-        relations = []
-        for i in range(1, 4):
-            j = i % 3 + 1
-            k = 6 - i - j
-            ai = AlgElement.from_generator(Generator("a", i), n)
-            aj = AlgElement.from_generator(Generator("a", j), n)
-            ak = AlgElement.from_generator(Generator("a", k), n)
-            dk = ak * (ring.v_power(k, n, -1) * ring.delta(n))
-            relations.append((f"a{i}*a{j} = a{j}*a{i}", ai * aj, aj * ai))
-            relations.append((f"a{i}*a{j} = v{k}^-1*d*a{k}", ai * aj, dk))
-            vv = ring.v_power(j, n) * ring.v_power(k, n)
-            relations.append(
-                (f"v{j}*v{k}*a{i}^2 = d^2", (ai * ai) * vv, AlgElement.from_scalar(d2))
-            )
-        relations = tuple(relations)
+        relations = _sphere3_relations()
     else:
-        gens = GENS_G3
         boundary = ring.loop_scalar(n) if surface == (1, 0) else ring.puncture_loop_scalar(n)
-        rules = _torus_rules(n, boundary, variant)
         relations = _torus_relations(n, boundary, variant)
-    raw = RewriteSystem(n, rules)
-    system, report = complete(raw, degree_bound)
+    if surface == (0, 3):
+        rules = _sphere3_rules()
+    else:
+        rules = tuple(Rule.orient(lhs - rhs) for _, lhs, rhs in relations)
+    system, report = complete(RewriteSystem(n, rules), DEFAULT_DEGREE_BOUND)
     return PresentedAlgebra(
         surface=surface,
-        generators=gens,
+        generators=_GENERATORS[surface],
         rules=rules,
         system=system,
         relations=relations,

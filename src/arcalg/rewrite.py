@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .freealg import AlgElement, Generator, Word, word_key, word_str
+from .freealg import AlgElement, Word, word_key, word_str
 
 __all__ = [
     "RuleError",
@@ -70,6 +70,19 @@ class Rule:
     def __str__(self) -> str:
         return f"{word_str(self.lhs)} -> {self.rhs}"
 
+    @classmethod
+    def orient(cls, diff: AlgElement) -> Rule | None:
+        """The monic rule equivalent to ``diff = 0``: leading word -> lower terms.
+
+        None when the leading coefficient is not a unit of R_n.
+        """
+        lead = diff.leading_word()
+        c = diff.coeff(lead)
+        cinv = c.try_unit_inverse()
+        if cinv is None:
+            return None
+        return cls(lead, (AlgElement.from_word(lead, diff.arity, c) - diff).scale(cinv))
+
 
 def _multiset_key(x: AlgElement) -> tuple:
     """Dershowitz-Manna multiset order on support words, via sorted keys."""
@@ -86,14 +99,6 @@ class RewriteSystem:
         for r in self.rules:
             if r.rhs.arity != self.arity:
                 raise RuleError("rule coefficient arity differs from system arity")
-
-    def generators(self) -> frozenset[Generator]:
-        gens: set[Generator] = set()
-        for r in self.rules:
-            gens.update(r.lhs)
-            for w in r.rhs.support():
-                gens.update(w)
-        return frozenset(gens)
 
     def find_redex(self, word: Word) -> tuple[int, int] | None:
         """(rule index, position) of the first matching rule's leftmost match."""
@@ -128,9 +133,6 @@ class RewriteSystem:
                 ri, pos = hit
                 return self.apply_at(x, word, ri, pos)
         return None
-
-    def is_normal(self, x: AlgElement) -> bool:
-        return all(self.find_redex(w) is None for w in x.support())
 
     def normal_form(self, x: AlgElement) -> AlgElement:
         cur = x
@@ -237,15 +239,10 @@ def complete(system: RewriteSystem, degree_bound: int) -> tuple[RewriteSystem, C
             if n1 == n2:
                 report.joinable.append(cp)
                 continue
-            diff = n1 - n2
-            lead = diff.leading_word()
-            c = diff.coeff(lead)
-            cinv = c.try_unit_inverse()
-            if cinv is None:
+            rule = Rule.orient(n1 - n2)
+            if rule is None:
                 report.failures.append((cp, n1, n2))
                 continue
-            rhs = (AlgElement.from_word(lead, system.arity, c) - diff).scale(cinv)
-            rule = Rule(lead, rhs)
             rules.append(rule)
             added.append(rule)
             progressed = True

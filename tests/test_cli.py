@@ -7,6 +7,7 @@ import pytest
 from arcalg import Surface, dumps_diagram, generator_diagram, stack
 from arcalg.cli import main
 from arcalg.presentations import GENS_A3
+from arcalg.rewrite import RewriteSystem, StepBudgetExceeded
 
 
 def run(capsys, *argv):
@@ -93,6 +94,24 @@ def test_rep_check(capsys):
     code, out, _ = run(capsys, "rep-check")
     assert code == 0
     assert out.count("PASS") == 10
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("normalize", "--surface", "1,1", "g1*g2*g3"),
+        ("verify", "--surface", "1,0"),
+    ],
+)
+def test_step_budget_is_a_usage_error(monkeypatch, capsys, argv):
+    def exhausted(self, x):
+        raise StepBudgetExceeded("no normal form after 0 steps")
+
+    monkeypatch.setattr(RewriteSystem, "normal_form", exhausted)
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == "error: no normal form after 0 steps\n"
 
 
 def test_eval_diagram(tmp_path, capsys):

@@ -8,6 +8,7 @@ import pytest
 from arcalg import (
     AlgElement,
     Surface,
+    VARIANT_DEFAULT,
     VARIANT_LITERAL,
     a_power,
     algebra_for,
@@ -60,6 +61,34 @@ def test_torus_presentation_shape():
         assert len(alg.generators) == 3
         assert len(alg.rules) == 4  # three commutation rules and the cubic
         assert alg.boundary_scalar == scalar
+
+
+SPHERE2_RULES = ["a*a -> (-A^2*v1^-1*v2^-1 + 2*v1^-1*v2^-1 - A^-2*v1^-1*v2^-1)"]
+TORUS_COMMUTATION_RULES = {
+    VARIANT_DEFAULT: [
+        "g2*g1 -> A^2*g1*g2 + (-A^3 + A^-1)*g3",
+        "g3*g2 -> A^2*g2*g3 + (-A^3 + A^-1)*g1",
+        "g3*g1 -> A^-2*g1*g3 + (A - A^-3)*g2",
+    ],
+    VARIANT_LITERAL: [
+        "g2*g1 -> A^2*g1*g2 + (-A^3 + A^-1)*g2",
+        "g3*g2 -> A^2*g2*g3 + (-A^3 + A^-1)*g3",
+        "g3*g1 -> A^-2*g1*g3 + (A - A^-3)*g1",
+    ],
+}
+TORUS_CUBIC_RULES = {
+    Surface(1, 0): "g1*g2*g3 -> A*g3*g3 + A^-3*g2*g2 + A*g1*g1 + (-2*A - 2*A^-3)",
+    Surface(1, 1): "g1*g2*g3 -> A*g3*g3 + A^-3*g2*g2 + A*g1*g1 + (-A + 1 + A^-2 - A^-3)",
+}
+
+
+@pytest.mark.parametrize("variant", [VARIANT_DEFAULT, VARIANT_LITERAL])
+def test_rules_are_the_oriented_relations(variant):
+    # Each relation solved for its leading word, in relation order.
+    assert [str(r) for r in algebra_for(Surface(0, 2), variant).rules] == SPHERE2_RULES
+    for surface, cubic in TORUS_CUBIC_RULES.items():
+        got = [str(r) for r in algebra_for(surface, variant).rules]
+        assert got == TORUS_COMMUTATION_RULES[variant] + [cubic]
 
 
 def test_nf_products():

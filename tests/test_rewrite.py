@@ -186,6 +186,24 @@ def test_complete_spheres_unchanged_no_failures():
         assert report.added_rules == []
 
 
+def test_complete_reports_non_unit_leading_coefficient():
+    x, y, z, u, w = (Generator(c) for c in "xyzuw")
+    raw = RewriteSystem(
+        0,
+        (
+            Rule((x, y), AlgElement.from_word((u,), 0)),
+            Rule((y, z), AlgElement.from_word((w,), 0, 3)),
+        ),
+    )
+    done, report = complete(raw, 3)
+    assert not report.confluent
+    assert report.added_rules == []
+    assert done.rules == raw.rules
+    [(cp, n1, n2)] = report.failures
+    assert cp.word == (x, y, z)
+    assert (str(n1), str(n2)) == ("u*z", "3*x*w")
+
+
 def test_complete_torus_reports_added_rules():
     alg = f11()
     raw = RewriteSystem(1, alg.rules)
