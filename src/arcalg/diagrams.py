@@ -963,7 +963,7 @@ def diagram_from_dict(obj: Mapping) -> Diagram:
                 ka, kb = kb, ka
                 label = {"a": "b", "b": "a"}.get(label, label)
             over[(ka, kb)] = label
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+    except (IndexError, KeyError, OverflowError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise DiagramError(f"malformed diagram document: {exc}") from None
     return Diagram(n, tuple(comps), over)
 

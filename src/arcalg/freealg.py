@@ -4,14 +4,16 @@ Words are flat tuples of generators (the empty tuple is the identity 1);
 elements are finite R_n-linear combinations of words.  No relations are
 imposed here; rewriting modulo relations lives in ``rewrite``.
 
-All values are immutable and hashable.
+All values are immutable and hashable.  ``AlgElement`` shares the sparse-term
+arithmetic of ``ring.LaurentPoly``; it adds word concatenation and scaling.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, NamedTuple
+import operator
+from typing import NamedTuple
 
-from .ring import ArityError, LaurentPoly, _mono_str, const, zero
+from .ring import ArityError, LaurentPoly, _mono_str, _SparseTerms, const, zero
 
 __all__ = [
     "Generator",
@@ -46,30 +48,38 @@ def word_key(w: Word) -> tuple:
     return (len(w), w)
 
 
-class AlgElement:
+class AlgElement(_SparseTerms):
     """A finite R_n-linear combination of words, in canonical sparse form."""
 
-    __slots__ = ("arity", "_terms", "_hash")
+    __slots__ = ()
 
-    def __init__(self, arity: int, terms: Mapping[Word, LaurentPoly] | Iterable[tuple[Word, LaurentPoly]] = ()):
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        tmap: dict[Word, LaurentPoly] = {}
-        for word, coeff in items:
-            if coeff.arity != arity:
-                raise ArityError(f"coefficient arity {coeff.arity} != element arity {arity}")
-            if coeff:
-                acc = tmap.get(word)
-                c = coeff if acc is None else acc + coeff
-                if c:
-                    tmap[word] = c
-                else:
-                    del tmap[word]
-        object.__setattr__(self, "arity", arity)
-        object.__setattr__(self, "_terms", tmap)
-        object.__setattr__(self, "_hash", None)
+    _key_mul = staticmethod(operator.add)
+    _key_order = staticmethod(word_key)
 
-    def __setattr__(self, name, value):  # pragma: no cover - defensive
-        raise AttributeError("AlgElement is immutable")
+    @staticmethod
+    def _check_term(arity: int, word: Word, coeff: LaurentPoly) -> None:
+        if coeff.arity != arity:
+            raise ArityError(f"coefficient arity {coeff.arity} != element arity {arity}")
+
+    @staticmethod
+    def _term_str(word: Word, coeff: LaurentPoly) -> tuple[bool, str]:
+        if len(coeff) != 1:
+            return False, f"({coeff})" if not word else f"({coeff})*{word_str(word)}"
+        (mono, c), = coeff.terms()
+        body = _mono_str(mono, c)
+        if not word:
+            return c < 0, body
+        return c < 0, word_str(word) if body == "1" else f"{body}*{word_str(word)}"
+
+    def _identity(self) -> "AlgElement":
+        return AlgElement.one(self.arity)
+
+    def _unit_inverse(self) -> "AlgElement":
+        if len(self._terms) == 1 and EMPTY_WORD in self._terms:
+            inv = self._terms[EMPTY_WORD].try_unit_inverse()
+            if inv is not None:
+                return AlgElement.from_scalar(inv)
+        raise ValueError("negative power of a non-invertible element")
 
     # -- constructors -------------------------------------------------------
 
@@ -102,141 +112,27 @@ class AlgElement:
     def coeff(self, word: Word) -> LaurentPoly:
         return self._terms.get(word, zero(self.arity))
 
-    def terms(self) -> list[tuple[Word, LaurentPoly]]:
-        """Terms ordered by the word term order, largest first."""
-        return sorted(self._terms.items(), key=lambda kv: word_key(kv[0]), reverse=True)
-
     def leading_word(self) -> Word:
         if not self._terms:
             raise ValueError("zero element has no leading word")
         return max(self._terms, key=word_key)
 
-    @property
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
-    # -- module and algebra operations --------------------------------------
-
-    def __add__(self, other) -> "AlgElement":
-        if not isinstance(other, AlgElement):
-            return NotImplemented
-        if other.arity != self.arity:
-            raise ArityError(f"arity mismatch: {self.arity} != {other.arity}")
-        terms = dict(self._terms)
-        for word, c in other._terms.items():
-            acc = terms.get(word)
-            s = c if acc is None else acc + c
-            if s:
-                terms[word] = s
-            else:
-                terms.pop(word, None)
-        return AlgElement(self.arity, terms)
-
-    def __neg__(self) -> "AlgElement":
-        return AlgElement(self.arity, {w: -c for w, c in self._terms.items()})
-
-    def __sub__(self, other) -> "AlgElement":
-        if not isinstance(other, AlgElement):
-            return NotImplemented
-        return self + (-other)
+    # -- scalars ------------------------------------------------------------
 
     def scale(self, coeff: LaurentPoly | int) -> "AlgElement":
         c = const(coeff, self.arity) if isinstance(coeff, int) else coeff
         if c.arity != self.arity:
             raise ArityError(f"arity mismatch: {self.arity} != {c.arity}")
-        return AlgElement(self.arity, {w: k * c for w, k in self._terms.items()})
+        if not c:
+            return AlgElement.zero(self.arity)
+        return AlgElement._make(self.arity, {w: k * c for w, k in self._terms.items()})
 
     def __mul__(self, other) -> "AlgElement":
         if isinstance(other, (LaurentPoly, int)):
             return self.scale(other)
-        if not isinstance(other, AlgElement):
-            return NotImplemented
-        if other.arity != self.arity:
-            raise ArityError(f"arity mismatch: {self.arity} != {other.arity}")
-        acc: dict[Word, LaurentPoly] = {}
-        for w1, c1 in self._terms.items():
-            for w2, c2 in other._terms.items():
-                w = w1 + w2
-                c = c1 * c2
-                prev = acc.get(w)
-                s = c if prev is None else prev + c
-                if s:
-                    acc[w] = s
-                else:
-                    del acc[w]
-        return AlgElement(self.arity, acc)
+        return super().__mul__(other)
 
-    def __rmul__(self, other) -> "AlgElement":
-        if isinstance(other, (LaurentPoly, int)):
-            return self.scale(other)
-        return NotImplemented
-
-    def __pow__(self, k: int) -> "AlgElement":
-        if not isinstance(k, int):
-            return NotImplemented
-        if k < 0:
-            if len(self._terms) == 1 and EMPTY_WORD in self._terms:
-                inv = self._terms[EMPTY_WORD].try_unit_inverse()
-                if inv is not None:
-                    return AlgElement.from_scalar(inv) ** (-k)
-            raise ValueError("negative power of a non-invertible element")
-        result = AlgElement.one(self.arity)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
-
-    # -- identity -----------------------------------------------------------
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, AlgElement):
-            return NotImplemented
-        return self.arity == other.arity and self._terms == other._terms
-
-    def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = hash((self.arity, frozenset(self._terms.items())))
-            object.__setattr__(self, "_hash", h)
-        return h
-
-    def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        pieces: list[tuple[bool, str]] = []  # (negative, body without sign)
-        for word, coeff in self.terms():
-            single = coeff.terms()[0] if len(coeff) == 1 else None
-            if not word:
-                if single is not None:
-                    mono, c = single
-                    pieces.append((c < 0, _mono_str(mono, c)))
-                else:
-                    pieces.append((False, f"({coeff})"))
-                continue
-            if coeff.is_one:
-                pieces.append((False, word_str(word)))
-            elif single is not None:
-                mono, c = single
-                body = _mono_str(mono, c)
-                if body == "1":
-                    pieces.append((c < 0, word_str(word)))
-                else:
-                    pieces.append((c < 0, f"{body}*{word_str(word)}"))
-            else:
-                pieces.append((False, f"({coeff})*{word_str(word)}"))
-        out = []
-        for i, (neg, body) in enumerate(pieces):
-            if i == 0:
-                out.append(f"-{body}" if neg else body)
-            else:
-                out.append(f" - {body}" if neg else f" + {body}")
-        return "".join(out)
+    __rmul__ = __mul__
 
     def __repr__(self) -> str:
         return f"<elem R{self.arity}: {self}>"

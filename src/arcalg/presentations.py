@@ -242,17 +242,22 @@ def _torus_relations(n: int, boundary_scalar: LaurentPoly, variant: str):
     return tuple(rels)
 
 
-@lru_cache(maxsize=None)
 def algebra_for(surface: Surface, variant: str = VARIANT_DEFAULT) -> PresentedAlgebra:
     """The presented algebra of a supported surface, completion included.
 
     The rules are the relations oriented, except on F0,3: there the nine
     products are the presentation, and the relations are the identities
-    ``verify`` checks.
+    ``verify`` checks.  Each (surface, variant) pair is built once per
+    process, whichever form the call takes.
     """
     surface = _check_surface(surface)
     if variant not in (VARIANT_DEFAULT, VARIANT_LITERAL):
         raise ValueError(f"unknown variant {variant!r}")
+    return _build_algebra(surface, variant)
+
+
+@lru_cache(maxsize=None)
+def _build_algebra(surface: Surface, variant: str) -> PresentedAlgebra:
     n = surface.punctures
     boundary: LaurentPoly | None = None
     if surface == (0, 2):

@@ -10,12 +10,16 @@ Values are immutable after construction and safe to share across threads.
 Canonical form: no zero coefficients are stored, and two polynomials are
 equal iff their term maps are identical.  Printing orders monomials by
 graded lexicographic key (total degree, half_a, vexp), largest first.
+The canonical sparse-term arithmetic lives in the private base class
+``_SparseTerms``, which ``freealg.AlgElement`` shares.
 """
 
 from __future__ import annotations
 
+import operator
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
-from typing import Iterable, Mapping, NamedTuple
+from typing import NamedTuple
 
 __all__ = [
     "ArityError",
@@ -80,122 +84,130 @@ def _mono_str(m: Monomial, coeff: int) -> str:
     return "*".join(parts)
 
 
-class LaurentPoly:
-    """A sparse element of R_n: a finite map from monomials to nonzero ints."""
+class _SparseTerms:
+    """A finite map from keys to nonzero coefficients, in canonical form.
+
+    The shared core of ``LaurentPoly`` (monomial -> int) and
+    ``freealg.AlgElement`` (word -> LaurentPoly).  A subclass supplies the
+    key product ``_key_mul``, the term order ``_key_order``, the per-term
+    check ``_check_term`` of the public constructor, the identity, the unit
+    inverse that negative powers need, and how one term prints.  Arithmetic
+    results come from loops that keep their dict canonical, so they are
+    wrapped by ``_make`` without the public constructor's checks.
+    """
 
     __slots__ = ("arity", "_terms", "_hash")
 
-    def __init__(self, arity: int, terms: Mapping[Monomial, int] | Iterable[tuple[Monomial, int]] = ()):
-        if arity < 0:
-            raise ValueError("arity must be nonnegative")
+    def __init__(self, arity: int, terms: Mapping | Iterable[tuple] = ()):
         items = terms.items() if isinstance(terms, Mapping) else terms
-        tmap: dict[Monomial, int] = {}
-        for mono, coeff in items:
-            if len(mono.vexp) != arity:
-                raise ArityError(f"monomial arity {len(mono.vexp)} != ring arity {arity}")
+        tmap: dict = {}
+        for key, coeff in items:
+            self._check_term(arity, key, coeff)
             if coeff:
-                c = tmap.get(mono, 0) + coeff
+                prev = tmap.get(key)
+                c = coeff if prev is None else prev + coeff
                 if c:
-                    tmap[mono] = c
+                    tmap[key] = c
                 else:
-                    del tmap[mono]
+                    del tmap[key]
+        self._fill(arity, tmap)
+
+    def _fill(self, arity: int, tmap: dict) -> None:
         object.__setattr__(self, "arity", arity)
         object.__setattr__(self, "_terms", tmap)
         object.__setattr__(self, "_hash", None)
 
+    @classmethod
+    def _make(cls, arity: int, tmap: dict):
+        """Wrap a term map that already has no zero coefficients."""
+        self = object.__new__(cls)
+        self._fill(arity, tmap)
+        return self
+
     def __setattr__(self, name, value):  # pragma: no cover - defensive
-        raise AttributeError("LaurentPoly is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
-    # -- inspection ---------------------------------------------------------
-
-    def terms(self) -> list[tuple[Monomial, int]]:
-        """Terms in canonical (descending graded lex) order."""
-        return sorted(self._terms.items(), key=lambda kv: _mono_key(kv[0]), reverse=True)
-
-    def coeff(self, mono: Monomial) -> int:
-        return self._terms.get(mono, 0)
+    def terms(self) -> list[tuple]:
+        """Terms in the class's term order, largest first."""
+        order = self._key_order
+        return sorted(self._terms.items(), key=lambda kv: order(kv[0]), reverse=True)
 
     @property
     def is_zero(self) -> bool:
         return not self._terms
 
-    @property
-    def is_one(self) -> bool:
-        return self._terms == {Monomial(0, (0,) * self.arity): 1}
-
     def __bool__(self) -> bool:
         return bool(self._terms)
 
-    def __len__(self) -> int:
-        return len(self._terms)
+    # -- arithmetic ---------------------------------------------------------
 
-    # -- ring structure -----------------------------------------------------
+    def _operand(self, other):
+        """``other`` as a value of this class, or None if it is not one."""
+        return other if isinstance(other, type(self)) else None
 
-    def _coerce(self, other) -> "LaurentPoly | None":
-        if isinstance(other, LaurentPoly):
-            if other.arity != self.arity:
-                raise ArityError(f"arity mismatch: {self.arity} != {other.arity}")
-            return other
-        if isinstance(other, int):
-            return const(other, self.arity)
-        return None
+    def _coerce(self, other):
+        o = self._operand(other)
+        if o is not None and o.arity != self.arity:
+            raise ArityError(f"arity mismatch: {self.arity} != {o.arity}")
+        return o
 
-    def __add__(self, other) -> "LaurentPoly":
+    def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         terms = dict(self._terms)
-        for mono, c in o._terms.items():
-            s = terms.get(mono, 0) + c
+        for key, c in o._terms.items():
+            prev = terms.get(key)
+            s = c if prev is None else prev + c
             if s:
-                terms[mono] = s
+                terms[key] = s
             else:
-                terms.pop(mono, None)
-        return LaurentPoly(self.arity, terms)
+                del terms[key]
+        return self._make(self.arity, terms)
 
     __radd__ = __add__
 
-    def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly(self.arity, {m: -c for m, c in self._terms.items()})
+    def __neg__(self):
+        return self._make(self.arity, {k: -c for k, c in self._terms.items()})
 
-    def __sub__(self, other) -> "LaurentPoly":
+    def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         return self + (-o)
 
-    def __rsub__(self, other) -> "LaurentPoly":
+    def __rsub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         return o + (-self)
 
-    def __mul__(self, other) -> "LaurentPoly":
+    def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        acc: dict[Monomial, int] = {}
-        for m1, c1 in self._terms.items():
-            for m2, c2 in o._terms.items():
-                m = m1 * m2
-                s = acc.get(m, 0) + c1 * c2
+        key_mul = self._key_mul
+        acc: dict = {}
+        for k1, c1 in self._terms.items():
+            for k2, c2 in o._terms.items():
+                k = key_mul(k1, k2)
+                c = c1 * c2
+                prev = acc.get(k)
+                s = c if prev is None else prev + c
                 if s:
-                    acc[m] = s
+                    acc[k] = s
                 else:
-                    del acc[m]
-        return LaurentPoly(self.arity, acc)
+                    del acc[k]
+        return self._make(self.arity, acc)
 
     __rmul__ = __mul__
 
-    def __pow__(self, k: int) -> "LaurentPoly":
+    def __pow__(self, k: int):
         if not isinstance(k, int):
             return NotImplemented
         if k < 0:
-            inv = self.try_unit_inverse()
-            if inv is None:
-                raise ValueError("negative power of a non-unit polynomial")
-            return inv ** (-k)
-        result = one(self.arity)
+            return self._unit_inverse() ** (-k)
+        result = self._identity()
         base = self
         while k:
             if k & 1:
@@ -204,6 +216,82 @@ class LaurentPoly:
             k >>= 1
         return result
 
+    # -- identity -----------------------------------------------------------
+
+    def __eq__(self, other) -> bool:
+        o = self._operand(other)
+        if o is None:
+            return NotImplemented
+        return self.arity == o.arity and self._terms == o._terms
+
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            h = hash((self.arity, frozenset(self._terms.items())))
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    def __str__(self) -> str:
+        if not self._terms:
+            return "0"
+        out = []
+        for key, coeff in self.terms():
+            negative, body = self._term_str(key, coeff)
+            if not out:
+                out.append(f"-{body}" if negative else body)
+            else:
+                out.append(f" - {body}" if negative else f" + {body}")
+        return "".join(out)
+
+
+class LaurentPoly(_SparseTerms):
+    """A sparse element of R_n: a finite map from monomials to nonzero ints."""
+
+    __slots__ = ()
+
+    _key_mul = staticmethod(operator.mul)
+    _key_order = staticmethod(_mono_key)
+
+    def __init__(self, arity: int, terms: Mapping[Monomial, int] | Iterable[tuple[Monomial, int]] = ()):
+        if arity < 0:
+            raise ValueError("arity must be nonnegative")
+        super().__init__(arity, terms)
+
+    @staticmethod
+    def _check_term(arity: int, mono: Monomial, coeff: int) -> None:
+        if len(mono.vexp) != arity:
+            raise ArityError(f"monomial arity {len(mono.vexp)} != ring arity {arity}")
+
+    @staticmethod
+    def _term_str(mono: Monomial, coeff: int) -> tuple[bool, str]:
+        return coeff < 0, _mono_str(mono, coeff)
+
+    def _operand(self, other) -> "LaurentPoly | None":
+        if isinstance(other, int):
+            return const(other, self.arity)
+        return super()._operand(other)
+
+    def _identity(self) -> "LaurentPoly":
+        return one(self.arity)
+
+    def _unit_inverse(self) -> "LaurentPoly":
+        inv = self.try_unit_inverse()
+        if inv is None:
+            raise ValueError("negative power of a non-unit polynomial")
+        return inv
+
+    # -- inspection ---------------------------------------------------------
+
+    def coeff(self, mono: Monomial) -> int:
+        return self._terms.get(mono, 0)
+
+    @property
+    def is_one(self) -> bool:
+        return self._terms == {Monomial(0, (0,) * self.arity): 1}
+
+    def __len__(self) -> int:
+        return len(self._terms)
+
     def try_unit_inverse(self) -> "LaurentPoly | None":
         """Inverse if this is a unit of R_n (a single term with coefficient +-1)."""
         if len(self._terms) != 1:
@@ -211,7 +299,7 @@ class LaurentPoly:
         (mono, c), = self._terms.items()
         if c not in (1, -1):
             return None
-        return LaurentPoly(self.arity, {mono.inverse(): c})
+        return LaurentPoly._make(self.arity, {mono.inverse(): c})
 
     # -- evaluation ---------------------------------------------------------
 
@@ -233,34 +321,6 @@ class LaurentPoly:
                 term *= val ** e
             total += term
         return total
-
-    # -- identity -----------------------------------------------------------
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, int):
-            other = const(other, self.arity)
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        return self.arity == other.arity and self._terms == other._terms
-
-    def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = hash((self.arity, frozenset(self._terms.items())))
-            object.__setattr__(self, "_hash", h)
-        return h
-
-    def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        out = []
-        for mono, c in self.terms():
-            body = _mono_str(mono, c)
-            if not out:
-                out.append(f"-{body}" if c < 0 else body)
-            else:
-                out.append(f" - {body}" if c < 0 else f" + {body}")
-        return "".join(out)
 
     def __repr__(self) -> str:
         return f"<R{self.arity}: {self}>"

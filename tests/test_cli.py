@@ -133,6 +133,20 @@ def test_eval_diagram_missing_file(capsys):
     assert "file not found" in err
 
 
+def test_eval_diagram_hostile_documents(tmp_path, capsys):
+    for text in (
+        '{"n": 2, "components": [], "over_under": [{"a": [0], "b": [1, 1], "over": "a"}]}',
+        '{"n": 1e400, "components": []}',
+        '{"n": 2, "components": [{"points": [[1, 0], [2, 0]],'
+        ' "start": {"puncture": 1, "height": 1e400}, "end": {"puncture": 2, "height": 0}}]}',
+    ):
+        path = tmp_path / "hostile.json"
+        path.write_text(text)
+        code, out, err = run(capsys, "eval-diagram", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_eval_diagram_invalid_content(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text('{"n": 2, "components": [{"closed": false, "points": [["1","0"]]}]}')

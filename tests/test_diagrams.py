@@ -556,6 +556,14 @@ def test_json_malformed():
         loads_diagram("{not json")
     with pytest.raises(DiagramError):
         loads_diagram('{"n": 1, "components": [{"points": "nope"}]}')
+    for hostile in (
+        '{"n": 2, "components": [], "over_under": [{"a": [0], "b": [1, 1], "over": "a"}]}',
+        '{"n": 1e400, "components": []}',
+        '{"n": 2, "components": [{"points": [[1, 0], [2, 0]],'
+        ' "start": {"puncture": 1, "height": 1e400}, "end": {"puncture": 2, "height": 0}}]}',
+    ):
+        with pytest.raises(DiagramError):
+            loads_diagram(hostile)
 
 
 def test_evaluate_rejects_large_n():

@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from arcalg import AlgElement, ArityError, Generator, a_power, const, delta, v_power
+from arcalg import AlgElement, ArityError, Generator, a_power, const, delta, v_power, zero
+from arcalg.presentations import GEN_A
 
 A1 = Generator("a", 1)
 A2 = Generator("a", 2)
@@ -66,6 +67,13 @@ def test_word_power():
         g ** -1
 
 
+def assert_canonical(x):
+    """No stored zero coefficient, and the public constructor rebuilds x."""
+    assert all(c and all(k != 0 for _, k in c.terms()) for _, c in x.terms())
+    y = AlgElement(x.arity, dict(x.terms()))
+    assert y == x and hash(y) == hash(x)
+
+
 def test_associativity_and_distributivity_random():
     rng = random.Random(20240312)
     gens = (A1, A2, A3)
@@ -73,9 +81,28 @@ def test_associativity_and_distributivity_random():
         x = rand_element(rng, 3, gens)
         y = rand_element(rng, 3, gens)
         z = rand_element(rng, 3, gens)
-        assert (x * y) * z == x * (y * z)
-        assert x * (y + z) == x * y + x * z
+        left, right = (x * y) * z, x * (y * z)
+        assert left == right and hash(left) == hash(right)
+        lhs, rhs = x * (y + z), x * y + x * z
+        assert lhs == rhs and hash(lhs) == hash(rhs)
         assert (x + y) * z == x * z + y * z
+        assert hash(x - y) == hash(-(y - x)) == hash(x + (-1) * y)
+        c = const(rng.randint(-2, 2), 3) + a_power(rng.randint(-2, 2), 3)
+        for e in (left, lhs, rhs, x + y, x - y, -x, x ** 2, x * c, c * x, x.scale(c)):
+            assert_canonical(e)
+
+
+def test_scalar_operands_and_powers():
+    p = a_power(1, 2) + v_power(1, 2)
+    x = AlgElement.from_generator(GEN_A, 2)
+    assert (x == 1) is False
+    assert str(2 * x) == "2*a"
+    assert str(x * p) == "(A + v1)*a"
+    assert AlgElement.from_scalar(a_power(1, 2)) ** -2 == AlgElement.from_scalar(a_power(-2, 2))
+    with pytest.raises(ValueError, match="negative power of a non-invertible element"):
+        x ** -1
+    assert x.scale(0).is_zero and (x * 0).is_zero
+    assert x * zero(2) == AlgElement.zero(2)
 
 
 def test_empty_word_two_sided_identity_random():

@@ -26,7 +26,7 @@ from arcalg import (
     verify_rho_homomorphism,
     zero,
 )
-from arcalg.presentations import GENS_A3, GENS_G3, GEN_A, mat_mul
+from arcalg.presentations import GENS_A3, GENS_G3, GEN_A, SUPPORTED_SURFACES, mat_mul
 
 A1, A2, A3 = GENS_A3
 G1, G2, G3 = GENS_G3
@@ -37,6 +37,12 @@ def test_supported_surfaces_only():
         algebra_for(Surface(0, 4))
     with pytest.raises(ValueError):
         algebra_for(Surface(2, 0))
+
+
+def test_algebra_built_once_per_surface_and_variant():
+    for surface in SUPPORTED_SURFACES:
+        assert algebra_for(surface) is algebra_for(surface, VARIANT_DEFAULT)
+        assert algebra_for(tuple(surface), variant=VARIANT_DEFAULT) is algebra_for(surface)
 
 
 def test_sphere2_presentation_shape():

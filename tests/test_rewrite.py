@@ -204,6 +204,28 @@ def test_complete_reports_non_unit_leading_coefficient():
     assert (str(n1), str(n2)) == ("u*z", "3*x*w")
 
 
+def test_critical_pair_of_a_contained_lhs():
+    x, y, z, u, v = (Generator(c) for c in "xyzuv")
+    raw = RewriteSystem(
+        0,
+        (
+            Rule((x, y, z), AlgElement.from_word((u,), 0)),
+            Rule((y,), AlgElement.from_word((v,), 0)),
+        ),
+    )
+    [cp] = critical_pairs(raw, 3)
+    assert str(cp) == "x*y*z: u  vs  x*v*z"
+    done, report = complete(raw, 3)
+    assert [str(r) for r in report.added_rules] == ["x*v*z -> u"]
+    assert done.rules == raw.rules + tuple(report.added_rules)
+    assert report.lines() == [
+        "critical pairs joinable: 1",
+        "rules added: 1",
+        "failures: 0",
+        "  added x*v*z -> u",
+    ]
+
+
 def test_complete_torus_reports_added_rules():
     alg = f11()
     raw = RewriteSystem(1, alg.rules)

@@ -95,15 +95,38 @@ def test_specialize_rejects_zero():
         v_power(1, 1).specialize(1, (0,))
 
 
+def assert_canonical(p):
+    """No stored zero coefficient, and the public constructor rebuilds p."""
+    assert all(c != 0 for _, c in p.terms())
+    q = LaurentPoly(p.arity, p.terms())
+    assert q == p and hash(q) == hash(p)
+
+
 def test_ring_axioms_random():
     rng = random.Random(20240311)
     for _ in range(1000):
         p = rand_poly(rng, 2)
         q = rand_poly(rng, 2)
         r = rand_poly(rng, 2)
+        lhs, rhs = p * (q + r), p * q + p * r
         assert (p * q) * r == p * (q * r)
-        assert p * q == q * p
-        assert p * (q + r) == p * q + p * r
+        assert p * q == q * p and hash(p * q) == hash(q * p)
+        assert lhs == rhs and hash(lhs) == hash(rhs)
+        assert hash(p - q) == hash(p + (-q)) == hash(-(q - p))
+        for x in (p * q, p + q, p - q, -p, lhs, rhs, p ** 2, 3 - p, p * 0):
+            assert_canonical(x)
+
+
+def test_int_operands_and_powers():
+    p = a_power(1, 2) + v_power(1, 2)
+    assert str(2 + p) == "A + v1 + 2"
+    assert str(1 - p) == "-A - v1 + 1"
+    assert str(3 * p) == "3*A + 3*v1"
+    assert (p == 1) is False
+    assert (const(1, 2) == 1) is True
+    assert a_half_power(3, 2) ** -2 == a_power(-3, 2)
+    with pytest.raises(ValueError, match="negative power of a non-unit polynomial"):
+        p ** -1
 
 
 def test_specialize_is_homomorphism():
