@@ -62,7 +62,6 @@ from .diagrams import (
     Component,
     Diagram,
     DiagramError,
-    Loop,
     WeightedState,
     arc_diagram,
     classify_terminal,

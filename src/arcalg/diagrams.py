@@ -71,7 +71,6 @@ __all__ = [
     "Component",
     "Diagram",
     "WeightedState",
-    "Loop",
     "Arc",
     "CrossKey",
     "puncture_position",
@@ -149,18 +148,7 @@ class WeightedState:
     word: Word
 
 
-@dataclass(frozen=True)
-class Loop:
-    """A crossingless closed curve, named by its enclosed puncture set.
-
-    On the sphere the loop around S is the loop around the complement of S;
-    the stored representative is the one containing puncture 1.
-    """
-
-    enclosed: frozenset[int]
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class Arc:
     """A crossingless curve joining two distinct punctures, i < j."""
 
@@ -295,14 +283,19 @@ def _structural_errors(d: Diagram) -> list[str]:
     return errors
 
 
-def _triple_point_errors(crossings: list[_XC]) -> list[str]:
+def _crossings(d: Diagram) -> tuple[list[str], list[_XC]]:
+    """The general-position violations of ``d`` and its crossings, with the
+    lower (component, segment) of each first."""
+    errors = _structural_errors(d)
+    if errors:
+        return errors, []
+    errors, crossings = _scan(d.components, d.n)
     seen: set[Point] = set()
-    errors = []
     for xc in crossings:
         if xc[0] in seen:
             errors.append(f"three strands meet at {xc[0]}")
         seen.add(xc[0])
-    return errors
+    return errors, crossings
 
 
 def validate(d: Diagram) -> list[str]:
@@ -312,12 +305,7 @@ def validate(d: Diagram) -> list[str]:
 
 def _validated(d: Diagram) -> tuple[list[str], list[_XC]]:
     """The violations of ``validate`` and the crossings found on the way."""
-    errors = _structural_errors(d)
-    if errors:
-        return errors, []
-    scan_errors, crossings = _scan(d.components, d.n)
-    errors.extend(scan_errors)
-    errors.extend(_triple_point_errors(crossings))
+    errors, crossings = _crossings(d)
     if errors:
         return errors, crossings
     found = {(xc[1], xc[2]) for xc in crossings}
@@ -334,13 +322,9 @@ def _validated(d: Diagram) -> tuple[list[str], list[_XC]]:
 
 def diagram_crossings(d: Diagram) -> list[tuple[CrossKey, Point]]:
     """Crossing ids and their exact positions, in canonical order."""
-    errors = _structural_errors(d)
+    errors, crossings = _crossings(d)
     if errors:
         raise DiagramError(errors)
-    scan_errors, crossings = _scan(d.components, d.n)
-    scan_errors.extend(_triple_point_errors(crossings))
-    if scan_errors:
-        raise DiagramError(scan_errors)
     return sorted(((xc[1], xc[2]), xc[0]) for xc in crossings)
 
 
@@ -577,13 +561,10 @@ def _join(sk: _Skeleton, st: _State, p: int, i: int, sign: int) -> _State:
     )
 
 
-_ARC_GENS: dict[int, dict[tuple[int, int], Generator]] = {
-    2: {(1, 2): Generator("a")},
-    3: {
-        (2, 3): Generator("a", 1),
-        (1, 3): Generator("a", 2),
-        (1, 2): Generator("a", 3),
-    },
+# The arc generators of the punctured spheres, keyed by the punctures they join.
+_ARC_GENS: dict[presentations.Surface, dict[tuple[int, int], Generator]] = {
+    presentations.Surface(0, 2): {(1, 2): presentations.GEN_A},
+    presentations.Surface(0, 3): dict(zip(((2, 3), (1, 3), (1, 2)), presentations.GENS_A3)),
 }
 
 
@@ -627,7 +608,7 @@ def _terminal(sk: _Skeleton, st: _State) -> WeightedState:
             coeff = coeff * ring.loop_scalar(n)
         else:
             coeff = coeff * ring.puncture_loop_scalar(n)
-    word = tuple(_ARC_GENS[n][ij] for _, ij in sorted(arcs))
+    word = tuple(_ARC_GENS[0, n][ij] for _, ij in sorted(arcs))
     return WeightedState(coeff, word)
 
 
@@ -686,8 +667,12 @@ def evaluate(d: Diagram, rng=None) -> AlgElement:
     return total
 
 
-def classify_terminal(d: Diagram) -> list[Loop | Arc]:
-    """The multiset of simple classes of a crossingless diagram, canonicalized."""
+def classify_terminal(d: Diagram) -> list[Arc]:
+    """The arcs of a crossingless diagram, sorted.
+
+    On n <= 3 every closed curve is a scalar, not a simple class, so a
+    diagram with one is rejected, as is an arc with both ends at one puncture.
+    """
     if d.n > 3:
         raise DiagramError("classification is defined for n <= 3 only")
     errors = validate(d)
@@ -695,33 +680,18 @@ def classify_terminal(d: Diagram) -> list[Loop | Arc]:
         raise DiagramError(errors)
     if d.over:
         raise DiagramError("terminal classification requires a crossingless diagram")
-    out: list[Loop | Arc] = []
+    out = []
     for c in d.components:
         if c.closed:
-            enclosed = frozenset(
-                q
-                for q in range(1, d.n + 1)
-                if winding_number(c.points, puncture_position(q)) != 0
+            enclosed = [q for q in range(1, d.n + 1) if winding_number(c.points, puncture_position(q))]
+            raise DiagramError(
+                f"a loop enclosing punctures {enclosed} is a scalar, not a simple class"
             )
-            if len(enclosed) <= 1:
-                raise DiagramError(
-                    "a loop around fewer than two punctures is a scalar, not a simple class"
-                )
-            if 1 not in enclosed:
-                enclosed = frozenset(range(1, d.n + 1)) - enclosed
-            out.append(Loop(enclosed))
-        else:
-            i, j = c.start.puncture, c.end.puncture
-            if i == j:
-                raise DiagramError("open component with both ends at one puncture is reducible")
-            out.append(Arc(min(i, j), max(i, j)))
-
-    def sort_key(c):
-        if isinstance(c, Arc):
-            return (0, c.i, c.j)
-        return (1, tuple(sorted(c.enclosed)))
-
-    return sorted(out, key=sort_key)
+        i, j = c.start.puncture, c.end.puncture
+        if i == j:
+            raise DiagramError("open component with both ends at one puncture is reducible")
+        out.append(Arc(min(i, j), max(i, j)))
+    return sorted(out)
 
 
 # ---------------------------------------------------------------------------
@@ -743,17 +713,13 @@ def _shift_heights(c: Component, shift: int) -> Component:
     )
 
 
-def _subdivide(c: Component) -> Component:
-    pts = list(c.points)
-    out = []
-    m = len(pts) if c.closed else len(pts) - 1
-    for k in range(m):
-        a, b = pts[k], pts[(k + 1) % len(pts)]
-        out.append(a)
-        out.append(((a[0] + b[0]) / 2, (a[1] + b[1]) / 2))
-    if not c.closed:
-        out.append(pts[-1])
-    return Component(tuple(out), c.closed, c.start, c.end)
+def _movable(c: Component) -> Component:
+    """c, with a midpoint if it is an arc of one segment, so that some vertex
+    of it can move while its ends stay at their punctures."""
+    if c.closed or len(c.points) > 2:
+        return c
+    a, b = c.points
+    return Component((a, ((a[0] + b[0]) / 2, (a[1] + b[1]) / 2), b), False, c.start, c.end)
 
 
 def _translate(c: Component, delta: tuple[Fraction, Fraction]) -> Component:
@@ -781,7 +747,8 @@ def _sweeps_puncture(before: Sequence[Component], after: Sequence[Component], n:
     """Does moving each component from ``before`` to ``after`` sweep a puncture?
 
     A translated segment sweeps a parallelogram, or a triangle when one end
-    is pinned at its puncture; that puncture itself does not count.
+    stays at its puncture and the segment rotates about it; that puncture
+    itself does not count.
     """
     for c0, c1 in zip(before, after):
         for k in range(c0.segment_count()):
@@ -794,45 +761,41 @@ def _sweeps_puncture(before: Sequence[Component], after: Sequence[Component], n:
     return False
 
 
-def _try_stack(
-    d1: Diagram, d2_components: tuple[Component, ...], d2: Diagram, seg_parent
-) -> Diagram | None:
-    """Assemble the stacked diagram if general position holds, else None."""
-    n = d1.n
-    comps = tuple(d1.components) + d2_components
+def _try_stack(d1: Diagram, upper: tuple[Component, ...], d2: Diagram) -> Diagram | None:
+    """Layer ``upper``, a moved copy of d2, above d1 if general position
+    holds and d2's crossings map one-to-one onto upper's, else None.
+
+    Segment k of an upper component stands for segment k of its d2
+    component; both halves of an arc split by ``_movable`` stand for its
+    segment 0.  The crossings list the lower (component, segment) first, so
+    d1's strand comes first at a crossing between the layers, and a d2 pair
+    keeps its order and its label.
+    """
     offset = len(d1.components)
-    candidate = Diagram(n, comps, {})
-    errors = _structural_errors(candidate)
+    comps = d1.components + upper
+    errors, crossings = _crossings(Diagram(d1.n, comps))
     if errors:
         return None
-    scan_errors, crossings = _scan(comps, n)
-    if scan_errors or _triple_point_errors(crossings):
-        return None
     over: dict[CrossKey, str] = {}
-    seen_d2: dict[CrossKey, CrossKey] = {}
-    for point, (s1, k1), (s2, k2) in crossings:
+    of_d2: set[CrossKey] = set()
+    for _, (s1, k1), (s2, k2) in crossings:
         key = ((s1, k1), (s2, k2))
-        if s1 < offset and s2 < offset:
-            if key not in d1.over:
-                return None
+        if s2 < offset:
             over[key] = d1.over[key]
-        elif s1 >= offset and s2 >= offset:
-            pa = (s1 - offset, seg_parent(k1))
-            pb = (s2 - offset, seg_parent(k2))
-            parent = (pa, pb) if pa <= pb else (pb, pa)
-            if parent not in d2.over or parent in seen_d2:
-                return None
-            seen_d2[parent] = key
-            label = d2.over[parent]
-            if (pa, pb) != parent:
-                label = {"a": "b", "b": "a"}[label]
-            over[key] = label
+        elif s1 < offset:
+            over[key] = "b"  # the upper layer is over
         else:
-            # between the two diagrams the later (upper) one is over
-            over[key] = "a" if s1 >= offset else "b"
-    if set(seen_d2) != set(d2.over):
+            parent = tuple(
+                (s - offset, min(k, d2.components[s - offset].segment_count() - 1))
+                for s, k in ((s1, k1), (s2, k2))
+            )
+            if parent not in d2.over or parent in of_d2:
+                return None
+            of_d2.add(parent)
+            over[key] = d2.over[parent]
+    if len(of_d2) != len(d2.over):
         return None
-    return Diagram(n, comps, over)
+    return Diagram(d1.n, comps, over)
 
 
 def stack(d1: Diagram, d2: Diagram) -> Diagram:
@@ -840,8 +803,10 @@ def stack(d1: Diagram, d2: Diagram) -> Diagram:
 
     All endpoint heights of d2 are shifted above all of d1's, and at every
     crossing between the two diagrams d2 is the over strand.  If the union
-    violates general position, d2 is subdivided and its movable vertices
-    are translated by a small rational vector found by search.
+    violates general position, every vertex of d2 but its puncture ends is
+    translated by a small rational vector found by search; an arc of one
+    segment first gets a midpoint to move.  A translation is rejected if it
+    sweeps a puncture or changes d2's own crossings.
     """
     if d1.n != d2.n:
         raise DiagramError(f"puncture counts differ: {d1.n} != {d2.n}")
@@ -853,22 +818,21 @@ def stack(d1: Diagram, d2: Diagram) -> Diagram:
     h2 = [a.height for c in d2.components if not c.closed for a in (c.start, c.end)]
     shift = (max(h1) + 1 - min(h2)) if h1 and h2 else 0
     shifted = tuple(_shift_heights(c, shift) for c in d2.components)
-    d2s = Diagram(d2.n, shifted, d2.over)
 
-    direct = _try_stack(d1, shifted, d2s, lambda k: k)
+    direct = _try_stack(d1, shifted, d2)
     if direct is not None:
         return direct
-    subdivided = tuple(_subdivide(c) for c in shifted)
+    movable = tuple(_movable(c) for c in shifted)
     for dx, dy in _PERTURB_DIRS:
         for scale in _PERTURB_SCALES:
             delta = (scale * dx, scale * dy)
-            moved = tuple(_translate(c, delta) for c in subdivided)
-            if _sweeps_puncture(subdivided, moved, d1.n):
+            moved = tuple(_translate(c, delta) for c in movable)
+            if _sweeps_puncture(movable, moved, d1.n):
                 continue
-            result = _try_stack(d1, moved, d2s, lambda k: k // 2)
+            result = _try_stack(d1, moved, d2)
             if result is not None:
                 return result
-    witness, _ = _scan(tuple(d1.components) + shifted, d1.n)
+    witness, _ = _crossings(Diagram(d1.n, d1.components + shifted))
     raise DiagramError(
         ["stacking could not restore general position by perturbation"] + witness[:4]
     )
@@ -883,25 +847,22 @@ def empty_diagram(n: int) -> Diagram:
     return Diagram(n, (), {})
 
 
-def arc_diagram(n: int, i: int, j: int, height_i: int = 0, height_j: int = 0) -> Diagram:
+def arc_diagram(n: int, i: int, j: int) -> Diagram:
     """A simple arc between punctures i and j, bumped above the axis."""
     if not (1 <= i <= n and 1 <= j <= n) or i == j:
         raise DiagramError(f"invalid arc endpoints {i}, {j} for n = {n}")
     a, b = puncture_position(i), puncture_position(j)
     mid = ((a[0] + b[0]) / 2, Fraction(1))
-    comp = Component((a, mid, b), False, Attachment(i, height_i), Attachment(j, height_j))
+    comp = Component((a, mid, b), False, Attachment(i, 0), Attachment(j, 0))
     return Diagram(n, (comp,), {})
 
 
 def generator_diagram(surface: presentations.Surface, gen: Generator) -> Diagram:
     """The standard diagram of an arc generator of a punctured sphere."""
     surface = presentations.Surface(*surface)
-    if surface == (0, 2) and gen == Generator("a"):
-        return arc_diagram(2, 1, 2)
-    if surface == (0, 3) and gen.name == "a" and gen.index in (1, 2, 3):
-        k = gen.index
-        endpoints = {1: (2, 3), 2: (1, 3), 3: (1, 2)}[k]
-        return arc_diagram(3, *endpoints)
+    for (i, j), g in _ARC_GENS.get(surface, {}).items():
+        if g == gen:
+            return arc_diagram(surface.punctures, i, j)
     raise DiagramError(f"no standard diagram for generator {gen} on {surface}")
 
 
@@ -916,16 +877,12 @@ def loop_component(x0, x1, y0=Fraction(-1, 2), y1=Fraction(1, 2)) -> Component:
 # ---------------------------------------------------------------------------
 
 
-def _frac_str(x: Fraction) -> str:
-    return str(x)
-
-
 def diagram_to_dict(d: Diagram) -> dict:
     comps = []
     for c in d.components:
         entry: dict = {
             "closed": c.closed,
-            "points": [[_frac_str(x), _frac_str(y)] for x, y in c.points],
+            "points": [[str(x), str(y)] for x, y in c.points],
         }
         if c.start is not None:
             entry["start"] = {"puncture": c.start.puncture, "height": c.start.height}
@@ -975,6 +932,6 @@ def dumps_diagram(d: Diagram) -> str:
 def loads_diagram(text: str) -> Diagram:
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise DiagramError(f"invalid JSON: {exc}") from None
     return diagram_from_dict(obj)

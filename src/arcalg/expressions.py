@@ -194,7 +194,12 @@ class _Parser:
 
 def parse_element(text: str, arity: int, alphabet: Mapping[str, Generator]) -> AlgElement:
     """Parse an expression over the given generator alphabet."""
-    return _Parser(text, arity, alphabet).parse()
+    parser = _Parser(text, arity, alphabet)
+    try:
+        return parser.parse()
+    except RecursionError:
+        tok = parser.peek()
+        raise ParseError("expression nested too deeply", tok[2] if tok else len(text)) from None
 
 
 def parse_scalar(text: str, arity: int) -> LaurentPoly:

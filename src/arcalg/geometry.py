@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 Point = tuple[Fraction, Fraction]
 Vec = tuple[Fraction, Fraction]
@@ -20,7 +20,6 @@ __all__ = [
     "Dir",
     "vsub",
     "vadd",
-    "smul",
     "cross",
     "dot",
     "primitive_dir",
@@ -37,11 +36,6 @@ def vsub(a: Point, b: Point) -> Vec:
 
 def vadd(a: Point, b: Vec) -> Point:
     return (a[0] + b[0], a[1] + b[1])
-
-
-def smul(t, v: Vec) -> Vec:
-    t = Fraction(t)
-    return (t * v[0], t * v[1])
 
 
 def cross(u: Vec, v: Vec) -> Fraction:
@@ -66,17 +60,11 @@ def primitive_dir(v: Vec) -> Dir:
     return (x // g, y // g)
 
 
-class SegHit:
+class SegHit(NamedTuple):
     """Classification of how two closed segments meet."""
 
-    __slots__ = ("kind", "point")
-
-    def __init__(self, kind: str, point: Point | None = None):
-        self.kind = kind  # "cross" | "touch" | "overlap"
-        self.point = point
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"SegHit({self.kind}, {self.point})"
+    kind: str  # "cross" | "touch" | "overlap"
+    point: Point | None = None
 
 
 def segment_hit(p1: Point, p2: Point, p3: Point, p4: Point) -> SegHit | None:
@@ -102,14 +90,13 @@ def segment_hit(p1: Point, p2: Point, p3: Point, p4: Point) -> SegHit | None:
         if inter_lo > inter_hi:
             return None
         if inter_lo == inter_hi:
-            x = vadd(p1, smul(inter_lo, d1))
-            return SegHit("touch", x)
+            return SegHit("touch", (p1[0] + inter_lo * d1[0], p1[1] + inter_lo * d1[1]))
         return SegHit("overlap")
     t = cross(w, d2) / denom
     u = cross(w, d1) / denom
     if not (0 <= t <= 1 and 0 <= u <= 1):
         return None
-    x = vadd(p1, smul(t, d1))
+    x = (p1[0] + t * d1[0], p1[1] + t * d1[1])
     if 0 < t < 1 and 0 < u < 1:
         return SegHit("cross", x)
     return SegHit("touch", x)

@@ -182,8 +182,8 @@ def critical_pairs(system: RewriteSystem, max_overlap_len: int) -> list[Critical
                         left = system.apply_at(base, word, ia, 0)
                         right = system.apply_at(base, word, ib, len(la) - k)
                         pairs.append(CriticalPair(word, left, right))
-            # Containment: lb a proper subword of la.
-            if len(lb) < len(la) and len(la) <= max_overlap_len:
+            # Containment: lb a proper subword of la, or equal to it (counted once).
+            if (len(lb) < len(la) or (la == lb and ia < ib)) and len(la) <= max_overlap_len:
                 for pos in range(len(la) - len(lb) + 1):
                     if la[pos : pos + len(lb)] == lb:
                         base = AlgElement.from_word(la, system.arity)

@@ -99,6 +99,8 @@ class _SparseTerms:
     __slots__ = ("arity", "_terms", "_hash")
 
     def __init__(self, arity: int, terms: Mapping | Iterable[tuple] = ()):
+        if arity < 0:
+            raise ValueError("arity must be nonnegative")
         items = terms.items() if isinstance(terms, Mapping) else terms
         tmap: dict = {}
         for key, coeff in items:
@@ -227,9 +229,12 @@ class _SparseTerms:
     def __hash__(self) -> int:
         h = self._hash
         if h is None:
-            h = hash((self.arity, frozenset(self._terms.items())))
+            h = self._hash_terms()
             object.__setattr__(self, "_hash", h)
         return h
+
+    def _hash_terms(self) -> int:
+        return hash((self.arity, frozenset(self._terms.items())))
 
     def __str__(self) -> str:
         if not self._terms:
@@ -252,11 +257,6 @@ class LaurentPoly(_SparseTerms):
     _key_mul = staticmethod(operator.mul)
     _key_order = staticmethod(_mono_key)
 
-    def __init__(self, arity: int, terms: Mapping[Monomial, int] | Iterable[tuple[Monomial, int]] = ()):
-        if arity < 0:
-            raise ValueError("arity must be nonnegative")
-        super().__init__(arity, terms)
-
     @staticmethod
     def _check_term(arity: int, mono: Monomial, coeff: int) -> None:
         if len(mono.vexp) != arity:
@@ -265,6 +265,12 @@ class LaurentPoly(_SparseTerms):
     @staticmethod
     def _term_str(mono: Monomial, coeff: int) -> tuple[bool, str]:
         return coeff < 0, _mono_str(mono, coeff)
+
+    def _hash_terms(self) -> int:
+        # A constant equals the int it holds, so it must hash like it.
+        if self._terms.keys() <= {Monomial(0, (0,) * self.arity)}:
+            return hash(sum(self._terms.values()))
+        return super()._hash_terms()
 
     def _operand(self, other) -> "LaurentPoly | None":
         if isinstance(other, int):

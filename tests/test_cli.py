@@ -48,6 +48,12 @@ def test_normalize_bad_expression(capsys):
     assert "error" in err
 
 
+def test_normalize_deep_nesting(capsys):
+    code, out, err = run(capsys, "normalize", "--surface", "0,3", "(" * 1200 + "a1" + ")" * 1200)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_unsupported_surface_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["normalize", "--surface", "0,5", "a1"])
@@ -139,6 +145,7 @@ def test_eval_diagram_hostile_documents(tmp_path, capsys):
         '{"n": 1e400, "components": []}',
         '{"n": 2, "components": [{"points": [[1, 0], [2, 0]],'
         ' "start": {"puncture": 1, "height": 1e400}, "end": {"puncture": 2, "height": 0}}]}',
+        "[" * 100000 + "]" * 100000,
     ):
         path = tmp_path / "hostile.json"
         path.write_text(text)

@@ -13,7 +13,6 @@ from arcalg import (
     Component,
     Diagram,
     DiagramError,
-    Loop,
     Surface,
     a_half_power,
     a_power,
@@ -282,13 +281,19 @@ def test_classify_two_parallel_arcs():
 
 
 def test_classify_two_puncture_loop():
+    # On n <= 3 a loop around two punctures is a scalar, as evaluate says.
     d = Diagram(3, (loop_component(F(1, 2), F(5, 2)),), {})
-    assert classify_terminal(d) == [Loop(frozenset({1, 2}))]
+    with pytest.raises(DiagramError, match=r"punctures \[1, 2\]"):
+        classify_terminal(d)
+    assert evaluate(d) == AlgElement.from_scalar(puncture_loop_scalar(3))
 
 
 def test_classify_canonicalizes_to_puncture_one_side():
+    # The loop around {2, 3} is the loop around {1} from the far side.
     d = Diagram(3, (loop_component(F(3, 2), F(7, 2)),), {})
-    assert classify_terminal(d) == [Loop(frozenset({1}))]
+    with pytest.raises(DiagramError, match=r"punctures \[2, 3\]"):
+        classify_terminal(d)
+    assert evaluate(d) == AlgElement.from_scalar(puncture_loop_scalar(3))
 
 
 def test_classify_rejects_trivial_loop():
@@ -341,6 +346,27 @@ def test_stack_perturbation_does_not_sweep_a_puncture():
     )
     d2 = Diagram(3, (loop2,), {})
     assert evaluate(stack(d1, d2)) == nf(s3, evaluate(d1) * evaluate(d2))
+
+
+def test_stack_kinked_curve_on_itself():
+    # A midpoint of the kink's first segment is its crossing, so this must
+    # translate the whole upper curve without subdividing it.
+    p = pts((0, 0), (4, 0), (4, 2), (2, 2), (2, -1), (0, -1))
+    comp = Component(p, True)
+    key = diagram_crossings(Diagram(0, (comp,), {}))[0][0]
+    for label in ("a", "b"):
+        d = Diagram(0, (comp,), {key: label})
+        assert evaluate(stack(d, d)) == evaluate(d) * evaluate(d)
+
+
+def test_stack_straight_arc_on_itself():
+    # An arc of one segment has no vertex to move until it gets a midpoint.
+    for n in (2, 3):
+        arc = Component(pts((1, 0), (2, 0)), False, Attachment(1, 0), Attachment(2, 0))
+        d = Diagram(n, (arc,), {})
+        s = stack(d, d)
+        assert [len(c.points) for c in s.components] == [2, 3]
+        assert evaluate(s) == nf(Surface(0, n), evaluate(d) * evaluate(d))
 
 
 def test_stack_alpha_squared_f02():

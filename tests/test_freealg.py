@@ -125,3 +125,8 @@ def test_str_round_shapes():
     s = str(x)
     assert s.startswith("a1*a2")
     assert AlgElement.zero(0) is not None and str(AlgElement.zero(0)) == "0"
+
+
+def test_negative_arity_rejected():
+    with pytest.raises(ValueError, match="arity must be nonnegative"):
+        AlgElement(-1, {})

@@ -226,6 +226,25 @@ def test_critical_pair_of_a_contained_lhs():
     ]
 
 
+def test_equal_lhs_is_a_critical_pair():
+    # Two rules for one word give it two normal forms unless completion
+    # relates their right-hand sides.
+    x, y, u, v = (Generator(c) for c in "xyuv")
+    raw = RewriteSystem(
+        0,
+        (
+            Rule((x, y), AlgElement.from_word((u,), 0)),
+            Rule((x, y), AlgElement.from_word((v,), 0)),
+        ),
+    )
+    [cp] = critical_pairs(raw, 2)
+    assert str(cp) == "x*y: u  vs  v"
+    done, report = complete(raw, 2)
+    assert [str(r) for r in report.added_rules] == ["v -> u"]
+    assert report.confluent
+    assert done.normal_form(AlgElement.from_word((v,), 0)) == AlgElement.from_word((u,), 0)
+
+
 def test_complete_torus_reports_added_rules():
     alg = f11()
     raw = RewriteSystem(1, alg.rules)

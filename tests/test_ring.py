@@ -160,3 +160,18 @@ def test_hash_and_equality():
         p = rand_poly(rng, 1)
         q = LaurentPoly(1, dict(p.terms()))
         assert p == q and hash(p) == hash(q)
+
+
+def test_constants_hash_like_ints():
+    # A constant equals its int, so sets and dicts must not tell them apart.
+    assert 1 in {const(1, 0)}
+    assert 0 in {zero(2)}
+    assert {const(-3, 1): "x"}[-3] == "x"
+    for c in (-2, -1, 0, 1, 7):
+        for arity in (0, 1, 3):
+            assert const(c, arity) == c and hash(const(c, arity)) == hash(c)
+
+
+def test_negative_arity_rejected():
+    with pytest.raises(ValueError, match="arity must be nonnegative"):
+        LaurentPoly(-1)
