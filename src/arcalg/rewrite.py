@@ -13,12 +13,15 @@ degree bound, orienting each non-joinable difference whose leading
 coefficient is a unit of R_n into a new rule and reporting the rest as
 failures.
 
-Systems are immutable after construction; ``normal_form`` is pure and may
-run concurrently on many inputs.
+Systems are immutable after construction.  ``normal_form`` is pure, so it
+may run concurrently on many inputs.  It takes the steps of ``reduce_once``
+(largest reducible word, first rule, leftmost occurrence) in one pass over
+the support, largest word first, without re-sorting it at each step.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass, field
 
 from .freealg import AlgElement, Word, word_key, word_str
@@ -84,11 +87,6 @@ class Rule:
         return cls(lead, (AlgElement.from_word(lead, diff.arity, c) - diff).scale(cinv))
 
 
-def _multiset_key(x: AlgElement) -> tuple:
-    """Dershowitz-Manna multiset order on support words, via sorted keys."""
-    return tuple(sorted((word_key(w) for w in x.support()), reverse=True))
-
-
 @dataclass(frozen=True)
 class RewriteSystem:
     arity: int
@@ -135,17 +133,34 @@ class RewriteSystem:
         return None
 
     def normal_form(self, x: AlgElement) -> AlgElement:
-        cur = x
+        """``reduce_once`` to a fixed point, in one pass from the largest word down."""
+        terms = dict(x._terms)
+        pending = sorted(terms, key=word_key)  # a max-queue: pop() is the largest
+        out = {}
         steps = 0
-        while True:
-            nxt = self.reduce_once(cur)
-            if nxt is None:
-                return cur
+        while pending:
+            word = pending.pop()
+            c = terms.pop(word)
+            if not c:  # cancelled
+                continue
+            hit = self.find_redex(word)
+            if hit is None:  # final: later steps only add smaller words
+                out[word] = c
+                continue
             steps += 1
             if steps > self.max_steps:
                 raise StepBudgetExceeded(f"no normal form after {self.max_steps} steps")
-            assert _multiset_key(nxt) < _multiset_key(cur), "reduction step did not decrease the term order"
-            cur = nxt
+            rule, pos = self.rules[hit[0]], hit[1]
+            pre, post = word[:pos], word[pos + len(rule.lhs) :]
+            for u, r in rule.rhs._terms.items():
+                new = pre + u + post
+                assert word_key(new) < word_key(word), "reduction step did not decrease the term order"
+                if new in terms:
+                    terms[new] += r * c
+                else:
+                    terms[new] = r * c
+                    insort(pending, new, key=word_key)
+        return AlgElement._make(self.arity, out)
 
 
 @dataclass(frozen=True)

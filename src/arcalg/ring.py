@@ -55,10 +55,9 @@ class Monomial(NamedTuple):
         return Monomial(-self.half_a, tuple(-e for e in self.vexp))
 
     def __mul__(self, other: "Monomial") -> "Monomial":  # type: ignore[override]
-        return Monomial(
-            self.half_a + other.half_a,
-            tuple(a + b for a, b in zip(self.vexp, other.vexp)),
-        )
+        # tuple.__new__ skips the NamedTuple constructor; this is the ring's hot loop.
+        (h1, v1), (h2, v2) = self, other
+        return tuple.__new__(Monomial, (h1 + h2, tuple(map(operator.add, v1, v2))))
 
 
 def _mono_key(m: Monomial) -> tuple:

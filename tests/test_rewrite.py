@@ -1,5 +1,6 @@
 """Rewriting engine: reduction, normal forms, critical pairs, completion."""
 
+import dataclasses
 import random
 
 import pytest
@@ -12,6 +13,8 @@ from arcalg import (
     RuleError,
     StepBudgetExceeded,
     Surface,
+    VARIANT_DEFAULT,
+    VARIANT_LITERAL,
     algebra_for,
     a_power,
     complete,
@@ -130,13 +133,73 @@ def test_termination_measure_asserted_each_step():
 
 
 def test_step_budget_is_enforced():
+    # a^5 -> 2a^4 -> 4a^3 -> 8a^2 -> 16a: exactly four steps
     a = Generator("a")
     rule = Rule((a, a), AlgElement.from_word((a,), 0, const(2, 0)))
-    tight = RewriteSystem(0, (rule,), max_steps=1)
     x = AlgElement.from_word((a,) * 5, 0)
-    with pytest.raises(StepBudgetExceeded):
-        tight.normal_form(x)
-    assert RewriteSystem(0, (rule,)).normal_form(x) is not None
+    expected = AlgElement.from_word((a,), 0, const(16, 0))
+    assert RewriteSystem(0, (rule,), max_steps=4).normal_form(x) == expected
+    for budget in (1, 3):
+        with pytest.raises(StepBudgetExceeded):
+            RewriteSystem(0, (rule,), max_steps=budget).normal_form(x)
+
+
+def test_term_order_assertion_fires():
+    # Rule checks its own order, so corrupt a valid rule behind its back.
+    a, b = Generator("a"), Generator("b")
+    rule = Rule((b,), AlgElement.from_word((a,), 0))
+    object.__setattr__(rule, "rhs", AlgElement.from_word((a, a), 0))
+    system = RewriteSystem(0, (rule,))
+    with pytest.raises(AssertionError):
+        system.normal_form(AlgElement.from_word((b,), 0))
+
+
+def _reduce_to_fixed_point(system, x):
+    """``reduce_once`` iterated to a fixed point: the result, the number of
+    steps, and how many of them cancelled a term."""
+    steps = cancelling = 0
+    while (nxt := system.reduce_once(x)) is not None:
+        # a step that removes more than the rewritten word cancelled a term
+        cancelling += len(x.support() - nxt.support()) > 1
+        x, steps = nxt, steps + 1
+    return x, steps, cancelling
+
+
+@pytest.mark.parametrize(
+    "surface, variant",
+    [
+        (Surface(0, 2), VARIANT_DEFAULT),
+        (Surface(0, 3), VARIANT_DEFAULT),
+        (Surface(1, 0), VARIANT_DEFAULT),
+        (Surface(1, 0), VARIANT_LITERAL),
+        (Surface(1, 1), VARIANT_DEFAULT),
+        (Surface(1, 1), VARIANT_LITERAL),
+    ],
+    ids=["F0,2", "F0,3", "F1,0", "F1,0-literal", "F1,1", "F1,1-literal"],
+)
+def test_normal_form_is_reduce_once_to_a_fixed_point(surface, variant):
+    # The torus systems are not confluent, so their normal forms depend on
+    # the reduction strategy; this pins it, step count included.
+    alg = algebra_for(surface, variant)
+    rng = random.Random(f"strategy {surface} {variant}")
+    cancelled = 0
+    for _ in range(40):
+        x = AlgElement.zero(alg.arity)
+        for _ in range(rng.randint(1, 4)):
+            word = tuple(rng.choice(alg.generators) for _ in range(rng.randint(0, 5)))
+            term = AlgElement.from_word(word, alg.arity, rng.choice((-2, -1, 1, 2)))
+            x = x + term
+            reduct = alg.system.reduce_once(term)
+            if reduct is not None and rng.random() < 0.5:
+                x = x - reduct  # rewriting ``word`` then cancels these terms
+        expected, steps, cancelling = _reduce_to_fixed_point(alg.system, x)
+        cancelled += cancelling
+        assert alg.system.normal_form(x) == expected
+        assert dataclasses.replace(alg.system, max_steps=steps).normal_form(x) == expected
+        if steps:
+            with pytest.raises(StepBudgetExceeded):
+                dataclasses.replace(alg.system, max_steps=steps - 1).normal_form(x)
+    assert cancelled
 
 
 def test_critical_pairs_single_rule_self_overlap():
