@@ -8,14 +8,16 @@ Subcommands:
 * ``complete``      run completion and print the confluence report
 * ``rep-check``     verify the left-regular representation is multiplicative
 
-Exit codes: 0 success, 1 check failure, 2 usage or input error.  Output is
-deterministic: identical invocations print identical bytes.
+Exit codes: 0 success, 1 check failure (or stdout closed early by its
+reader), 2 usage or input error.  Output is deterministic: identical
+invocations print identical bytes.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -35,6 +37,7 @@ __all__ = ["main", "build_parser"]
 
 USAGE_ERROR = 2
 CHECK_FAILURE = 1
+BROKEN_PIPE = 1  # what Python itself exits with on EPIPE
 
 _RANK_SPECIALIZATIONS = (
     (Fraction(2), (Fraction(3), Fraction(5), Fraction(7))),
@@ -254,10 +257,19 @@ def main(argv=None) -> int:
         "rep-check": _cmd_rep_check,
     }[args.command]
     try:
-        return handler(args)
+        status = handler(args)
+        sys.stdout.flush()
+        return status
     except StepBudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    except BrokenPipeError:
+        # The reader closed stdout.  Point it at devnull, so that the
+        # interpreter's final flush of what is still buffered cannot raise.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return BROKEN_PIPE
 
 
 if __name__ == "__main__":

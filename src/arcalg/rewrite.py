@@ -16,7 +16,10 @@ failures.
 Systems are immutable after construction.  ``normal_form`` is pure, so it
 may run concurrently on many inputs.  It takes the steps of ``reduce_once``
 (largest reducible word, first rule, leftmost occurrence) in one pass over
-the support, largest word first, without re-sorting it at each step.
+the support, largest word first, without re-sorting it at each step.  Its
+coefficients accumulate as raw monomial -> int maps; only final words get a
+``LaurentPoly``.  The one-step reduct of a coefficient-1 word is built by
+concatenation, so critical pairs multiply no ring or algebra elements.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from bisect import insort
 from dataclasses import dataclass, field
 
 from .freealg import AlgElement, Word, word_key, word_str
+from .ring import LaurentPoly
 
 __all__ = [
     "RuleError",
@@ -114,10 +118,14 @@ class RewriteSystem:
         c = x.coeff(word)
         if not c:
             raise ValueError("word is not in the support of the element")
-        pre = AlgElement.from_word(word[:pos], self.arity)
-        post = AlgElement.from_word(word[pos + len(rule.lhs) :], self.arity)
-        replaced = (pre * rule.rhs * post).scale(c)
+        replaced = self._reduct(word, rule_index, pos).scale(c)
         return x - AlgElement.from_word(word, self.arity, c) + replaced
+
+    def _reduct(self, word: Word, rule_index: int, pos: int) -> AlgElement:
+        """One step on ``word`` (coefficient 1) by concatenation: ``pre*u*post`` -> r."""
+        rule = self.rules[rule_index]
+        pre, post = word[:pos], word[pos + len(rule.lhs) :]
+        return AlgElement._make(self.arity, {pre + u + post: r for u, r in rule.rhs._terms.items()})
 
     def reduce_once(self, x: AlgElement) -> AlgElement | None:
         """One reduction step at the largest reducible word, or None if normal.
@@ -134,18 +142,18 @@ class RewriteSystem:
 
     def normal_form(self, x: AlgElement) -> AlgElement:
         """``reduce_once`` to a fixed point, in one pass from the largest word down."""
-        terms = dict(x._terms)
+        terms = {w: dict(c._terms) for w, c in x._terms.items()}  # word -> {monomial: int}
         pending = sorted(terms, key=word_key)  # a max-queue: pop() is the largest
         out = {}
         steps = 0
         while pending:
             word = pending.pop()
-            c = terms.pop(word)
+            c = {m: k for m, k in terms.pop(word).items() if k}
             if not c:  # cancelled
                 continue
             hit = self.find_redex(word)
             if hit is None:  # final: later steps only add smaller words
-                out[word] = c
+                out[word] = LaurentPoly._make(self.arity, c)
                 continue
             steps += 1
             if steps > self.max_steps:
@@ -155,11 +163,14 @@ class RewriteSystem:
             for u, r in rule.rhs._terms.items():
                 new = pre + u + post
                 assert word_key(new) < word_key(word), "reduction step did not decrease the term order"
-                if new in terms:
-                    terms[new] += r * c
-                else:
-                    terms[new] = r * c
+                acc = terms.get(new)
+                if acc is None:
+                    acc = terms[new] = {}
                     insort(pending, new, key=word_key)
+                for m1, k1 in r._terms.items():  # acc += r * c
+                    for m2, k2 in c.items():
+                        m = m1 * m2
+                        acc[m] = acc.get(m, 0) + k1 * k2
         return AlgElement._make(self.arity, out)
 
 
@@ -193,17 +204,15 @@ def critical_pairs(system: RewriteSystem, max_overlap_len: int) -> list[Critical
                 if la[-k:] == lb[:k]:
                     word = la + lb[k:]
                     if len(word) <= max_overlap_len:
-                        base = AlgElement.from_word(word, system.arity)
-                        left = system.apply_at(base, word, ia, 0)
-                        right = system.apply_at(base, word, ib, len(la) - k)
+                        left = system._reduct(word, ia, 0)
+                        right = system._reduct(word, ib, len(la) - k)
                         pairs.append(CriticalPair(word, left, right))
             # Containment: lb a proper subword of la, or equal to it (counted once).
             if (len(lb) < len(la) or (la == lb and ia < ib)) and len(la) <= max_overlap_len:
                 for pos in range(len(la) - len(lb) + 1):
                     if la[pos : pos + len(lb)] == lb:
-                        base = AlgElement.from_word(la, system.arity)
-                        left = system.apply_at(base, la, ia, 0)
-                        right = system.apply_at(base, la, ib, pos)
+                        left = system._reduct(la, ia, 0)
+                        right = system._reduct(la, ib, pos)
                         pairs.append(CriticalPair(la, left, right))
     return pairs
 

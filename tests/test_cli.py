@@ -1,6 +1,8 @@
 """Command-line interface: outputs, exit codes, determinism."""
 
+import io
 import json
+import os
 
 import pytest
 
@@ -118,6 +120,34 @@ def test_step_budget_is_a_usage_error(monkeypatch, capsys, argv):
     assert code == 2
     assert out == ""
     assert err == "error: no normal form after 0 steps\n"
+
+
+class _ClosedPipe(io.TextIOBase):
+    """A stdout on file descriptor ``fd`` whose reader has gone away."""
+
+    def __init__(self, fd):
+        self._fd = fd
+
+    def fileno(self):
+        return self._fd
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_closed_stdout_is_exit_1_without_traceback(monkeypatch, capsys, tmp_path):
+    path = tmp_path / "stdout"
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT)
+    try:
+        monkeypatch.setattr("sys.stdout", _ClosedPipe(fd))
+        code = main(["normalize", "--surface", "1,1", "g2^6*g1^6"])
+        # the descriptor now points at devnull, so a final flush cannot raise
+        os.write(fd, b"late output")
+    finally:
+        os.close(fd)
+    assert code == 1
+    assert capsys.readouterr().err == ""
+    assert path.read_bytes() == b""
 
 
 def test_eval_diagram(tmp_path, capsys):

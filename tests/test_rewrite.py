@@ -8,6 +8,7 @@ import pytest
 from arcalg import (
     AlgElement,
     Generator,
+    LaurentPoly,
     RewriteSystem,
     Rule,
     RuleError,
@@ -25,7 +26,7 @@ from arcalg import (
 )
 from arcalg.freealg import word_key
 
-from bruteforce import all_normal_forms, random_normal_form
+from bruteforce import _redexes, all_normal_forms, random_normal_form
 
 A1, A2, A3 = (Generator("a", i) for i in (1, 2, 3))
 G1, G2, G3 = (Generator("g", i) for i in (1, 2, 3))
@@ -194,12 +195,68 @@ def test_normal_form_is_reduce_once_to_a_fixed_point(surface, variant):
                 x = x - reduct  # rewriting ``word`` then cancels these terms
         expected, steps, cancelling = _reduce_to_fixed_point(alg.system, x)
         cancelled += cancelling
-        assert alg.system.normal_form(x) == expected
+        got = alg.system.normal_form(x)
+        assert got == expected
+        for c in got._terms.values():  # canonical: no zero entries kept
+            assert all(c._terms.values())
+            assert c == LaurentPoly(alg.arity, dict(c._terms))
         assert dataclasses.replace(alg.system, max_steps=steps).normal_form(x) == expected
         if steps:
             with pytest.raises(StepBudgetExceeded):
                 dataclasses.replace(alg.system, max_steps=steps - 1).normal_form(x)
     assert cancelled
+
+
+def test_cancelled_word_is_not_a_step():
+    # z -> (A + A^-1) y and y -> x, so z + k*y first adds (A + A^-1) to y's
+    # coefficient k; a y whose coefficient cancels is skipped, not rewritten.
+    x, y, z = (Generator(c) for c in "xyz")
+    two_terms = a_power(1, 0) + a_power(-1, 0)
+    system = RewriteSystem(
+        0,
+        (
+            Rule((z,), AlgElement.from_word((y,), 0, two_terms)),
+            Rule((y,), AlgElement.from_word((x,), 0)),
+        ),
+    )
+    partly = AlgElement.from_word((z,), 0) - AlgElement.from_word((y,), 0, a_power(1, 0))
+    got = dataclasses.replace(system, max_steps=2).normal_form(partly)
+    assert got == AlgElement.from_word((x,), 0, a_power(-1, 0))
+    assert len(got.coeff((x,))) == 1  # one monomial survives
+    with pytest.raises(StepBudgetExceeded):
+        dataclasses.replace(system, max_steps=1).normal_form(partly)
+    fully = AlgElement.from_word((z,), 0) - AlgElement.from_word((y,), 0, two_terms)
+    assert dataclasses.replace(system, max_steps=1).normal_form(fully).is_zero
+
+
+@pytest.mark.parametrize(
+    "surface, variant, count",
+    [
+        (Surface(0, 2), VARIANT_DEFAULT, 1),
+        (Surface(0, 2), VARIANT_LITERAL, 1),
+        (Surface(0, 3), VARIANT_DEFAULT, 27),
+        (Surface(0, 3), VARIANT_LITERAL, 27),
+        (Surface(1, 0), VARIANT_DEFAULT, 17),
+        (Surface(1, 0), VARIANT_LITERAL, 17),
+        (Surface(1, 1), VARIANT_DEFAULT, 17),
+        (Surface(1, 1), VARIANT_LITERAL, 17),
+    ],
+)
+def test_critical_pair_reducts_are_one_step_reducts(surface, variant, count):
+    # Each reduct is ``apply_at`` on the coefficient-1 word at some redex,
+    # and the two reducts come from two different redexes.
+    system = algebra_for(surface, variant).system
+    pairs = critical_pairs(system, 8)
+    assert len(pairs) == count
+    for cp in pairs:
+        base = AlgElement.from_word(cp.word, system.arity)
+        reducts = {
+            (ri, pos): system.apply_at(base, cp.word, ri, pos)
+            for _, ri, pos in _redexes(system, base)
+        }
+        left = {k for k, r in reducts.items() if r == cp.left}
+        right = {k for k, r in reducts.items() if r == cp.right}
+        assert left and right and len(left | right) >= 2
 
 
 def test_critical_pairs_single_rule_self_overlap():
@@ -318,6 +375,19 @@ def test_complete_torus_reports_added_rules():
     for rule in report.added_rules:
         lhs = AlgElement.from_word(rule.lhs, 1)
         assert done.normal_form(lhs - rule.rhs).is_zero
+
+
+@pytest.mark.parametrize("surface", [Surface(1, 0), Surface(1, 1)], ids=["F1,0", "F1,1"])
+def test_torus_completion_shape(surface):
+    # Bound b adds g1 g2^k g3 for k = 2..b-2, in that order, and joins the rest.
+    alg = algebra_for(surface)
+    g1, g2, g3 = alg.generators
+    for b in range(3, 10):
+        _, report = complete(RewriteSystem(alg.arity, alg.rules), b)
+        assert report.failures == []
+        added = [r.lhs for r in report.added_rules]
+        assert added == [(g1,) + (g2,) * k + (g3,) for k in range(2, b - 1)]
+        assert len(report.joinable) == 4 * (b - 3) + 1
 
 
 def test_order_independence_on_completed_sphere_systems():
