@@ -57,14 +57,12 @@ from .presentations import (
 )
 from .expressions import ParseError, parse_element, parse_scalar
 from .diagrams import (
-    Arc,
     Attachment,
     Component,
     Diagram,
     DiagramError,
     WeightedState,
     arc_diagram,
-    classify_terminal,
     diagram_crossings,
     diagram_from_dict,
     diagram_to_dict,

@@ -129,8 +129,11 @@ def _cmd_eval_diagram(args) -> int:
     try:
         with open(args.path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except FileNotFoundError as exc:
         print(f"error: file not found: {exc}", file=sys.stderr)
+        return USAGE_ERROR
+    except (OSError, UnicodeDecodeError) as exc:
+        print(f"error: cannot read file: {exc}", file=sys.stderr)
         return USAGE_ERROR
     try:
         diagram = diagrams.loads_diagram(text)

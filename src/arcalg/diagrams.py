@@ -11,10 +11,11 @@ points, no crossings at punctures) is enforced exactly.
 The evaluator is Kauffman's state model, extended by the puncture-skein and
 puncture-framing relations of the arc algebra.  Exact geometry runs once
 per diagram: the components are cut at their crossings into edges, each
-crossing records the outward directions of its four edge ends, each
-puncture end its height and ray, and each edge its signed crossing count
-with one fixed ray from every puncture.  Resolution after that only
-re-pairs edge ends and adds integers:
+crossing gets its A- and B-pairing from the directions of its four edge
+ends, the ends at each puncture and one fixed ray from it are put in
+counterclockwise order (their slots), and each edge gets its signed
+crossing count with every puncture's ray.  Resolution after that reads
+only slots and integer counts; it re-pairs edge ends and adds integers:
 
 * a crossing is resolved into its two smoothings with coefficients A and
   A^-1 (the A-smoothing opens the two regions swept by rotating the over
@@ -23,11 +24,11 @@ re-pairs edge ends and adds integers:
   carries the usual -A^3 framing factor);
 * a height-adjacent pair of ends at puncture i is joined by a detour around
   the puncture with coefficients v_i^-1 A^(1/2) (the higher strand turns
-  left: the detour sweeps clockwise from its ray to the lower end's ray)
+  left: the detour sweeps clockwise from its slot to the lower end's slot)
   and v_i^-1 A^(-1/2) (counterclockwise).  The detour crosses the ends
-  whose rays lie strictly inside its wedge; those crossings are over/under
-  by height and are resolved in turn, and each crossed end stays at the
-  puncture through a short stub;
+  whose slots lie strictly inside its wedge; those crossings are
+  over/under by height and are resolved in turn, and each crossed end
+  stays at the puncture through a short stub in its slot;
 * a closed curve of a terminal state encloses the punctures around which
   the ray counts of its edges sum to a nonzero winding number.  On the
   sphere it is a scalar whenever min(|enclosed|, n - |enclosed|) <= 1,
@@ -61,7 +62,7 @@ from .geometry import (
     segment_hit,
     vadd,
     vsub,
-    winding_number,
+    winding_number,  # unused here; kept as the attribute that bench/tracing.py wraps
 )
 from .ring import LaurentPoly, Monomial
 
@@ -71,12 +72,10 @@ __all__ = [
     "Component",
     "Diagram",
     "WeightedState",
-    "Arc",
     "CrossKey",
     "puncture_position",
     "validate",
     "diagram_crossings",
-    "classify_terminal",
     "evaluate",
     "resolve_fully",
     "stack",
@@ -146,14 +145,6 @@ class WeightedState:
 
     coefficient: LaurentPoly
     word: Word
-
-
-@dataclass(frozen=True, order=True)
-class Arc:
-    """A crossingless curve joining two distinct punctures, i < j."""
-
-    i: int
-    j: int
 
 
 _XC = tuple[Point, tuple[int, int], tuple[int, int]]  # (point, (comp, seg), (comp, seg))
@@ -359,10 +350,10 @@ def _free_ray(q: Point, avoid: Sequence[Point]) -> Dir:
             return d
 
 
-def _sweep_angle(ref: Dir, r: Dir, s: int) -> Fraction:
-    """A monotone stand-in in [0, 4) for the angle from ref to r, measured
-    counterclockwise for s = 1 and clockwise for s = -1."""
-    x, y = dot(ref, r), s * cross(ref, r)
+def _angle(r: Dir) -> Fraction:
+    """A monotone stand-in in [0, 4) for the counterclockwise angle of r
+    from the positive x-axis."""
+    x, y = r
     t = Fraction(x, abs(x) + abs(y))
     return 1 - t if y > 0 or (y == 0 and x > 0) else 3 + t
 
@@ -370,40 +361,31 @@ def _sweep_angle(ref: Dir, r: Dir, s: int) -> Fraction:
 class _Skeleton:
     """The edge ends of one diagram and of every piece its resolution adds.
 
-    Ends are integers and an edge is a pair of ends (e, e ^ 1).  Per end:
-    ``dir`` is its outward direction at the crossing or puncture where it
-    sits (at a puncture: its ray), ``count[e][q - 1]`` the signed crossing
-    count of the edge, traversed from e, with the ray from puncture q in
-    direction ``rays[q - 1]``, and ``at[e]`` the (puncture, height) of a
-    puncture end.  ``smoothings[x]`` holds the A-pairing and the B-pairing
-    of crossing x.  Entries are only ever appended, so the branches of the
-    resolution tree share one skeleton.
+    Ends are integers and an edge is a pair of ends (e, e ^ 1).  The cyclic
+    order at each puncture p is fixed once: its ends and its ray take the
+    slots 0 .. ``slots[p - 1]`` - 1 counterclockwise, ``slot[e]`` is the
+    slot of end e and ``ray_slot[p - 1]`` that of the ray.  Per end,
+    ``count[e][q - 1]`` is the signed crossing count of the edge, traversed
+    from e, with the ray from puncture q, and ``at[e]`` the (puncture,
+    height) of a puncture end.  ``smoothings[x]`` holds the A-pairing and
+    the B-pairing of crossing x.  All entries are integers and are only
+    ever appended, so the branches of the resolution tree share one
+    skeleton.
     """
 
-    def __init__(self, n: int, rays: list[Dir]):
+    def __init__(self, n: int):
         self.n = n
-        self.rays = rays
-        self.dir: list[Dir | None] = []
         self.count: list[tuple[int, ...]] = []
         self.at: dict[int, tuple[int, int]] = {}
+        self.slot: dict[int, int] = {}
+        self.ray_slot: list[int] = []
+        self.slots: list[int] = []
         self.smoothings: list[tuple[tuple[tuple[int, int], ...], ...]] = []
 
-    def edge(self, dir0: Dir | None, dir1: Dir | None, counts: Sequence[int]) -> int:
-        e = len(self.dir)
-        self.dir += [dir0, dir1]
+    def edge(self, counts: Sequence[int]) -> int:
+        e = len(self.count)
         self.count += [tuple(counts), tuple(-c for c in counts)]
         return e
-
-    def crossing(self, over: Sequence[int], under: Sequence[int]) -> int:
-        """Record a crossing; with the A-smoothing each over end joins the
-        under end clockwise from it."""
-        a_pairs, b_pairs = [], []
-        for o in over:
-            for u in under:
-                pairs = a_pairs if cross(self.dir[o], self.dir[u]) < 0 else b_pairs
-                pairs.append((o, u))
-        self.smoothings.append((tuple(a_pairs), tuple(b_pairs)))
-        return len(self.smoothings) - 1
 
 
 class _State(NamedTuple):
@@ -428,7 +410,8 @@ def _skeleton(d: Diagram, crossings: list[_XC]) -> tuple[_Skeleton, _State]:
     avoid = [p for c in d.components for p in c.points]
     avoid += [xc[0] for xc in crossings] + [puncture_position(i) for i in range(1, n + 1)]
     rays = [_free_ray(puncture_position(q), avoid) for q in range(1, n + 1)]
-    sk = _Skeleton(n, rays)
+    sk = _Skeleton(n)
+    dirs: list[Dir] = []  # the outward direction of each end
 
     marks: dict[tuple[int, int], list[tuple[Point, int]]] = {}
     for x, (point, key1, key2) in enumerate(crossings):
@@ -444,7 +427,8 @@ def _skeleton(d: Diagram, crossings: list[_XC]) -> tuple[_Skeleton, _State]:
             sum(_ray_crossing(a, b, puncture_position(q), rays[q - 1]) for a, b in zip(pts, pts[1:]))
             for q in range(1, n + 1)
         ]
-        e = sk.edge(primitive_dir(vsub(pts[1], pts[0])), primitive_dir(vsub(pts[-2], pts[-1])), counts)
+        e = sk.edge(counts)
+        dirs.extend((primitive_dir(vsub(pts[1], pts[0])), primitive_dir(vsub(pts[-2], pts[-1]))))
         for end, (_, x, key) in ((e, run[0]), (e ^ 1, run[-1])):
             if x is not None:
                 at_crossing[x].append((end, key))
@@ -476,17 +460,26 @@ def _skeleton(d: Diagram, crossings: list[_XC]) -> tuple[_Skeleton, _State]:
             e = add_edge(run + run[:1])
             free_loops.append((e, e ^ 1))
 
-    pending = []
+    # With the A-smoothing each over end joins the under end clockwise from it.
     for x, (_, key1, key2) in enumerate(crossings):
         over_key = key1 if d.over[(key1, key2)] == "a" else key2
-        over = [e for e, key in at_crossing[x] if key == over_key]
-        under = [e for e, key in at_crossing[x] if key != over_key]
-        pending.append(sk.crossing(over, under))
+        a_pairs, b_pairs = [], []
+        for o, o_key in at_crossing[x]:
+            for u, u_key in at_crossing[x]:
+                if o_key == over_key != u_key:
+                    (a_pairs if cross(dirs[o], dirs[u]) < 0 else b_pairs).append((o, u))
+        sk.smoothings.append((tuple(a_pairs), tuple(b_pairs)))
+    for p, at_p in enumerate(at_puncture, start=1):
+        order = sorted([(_angle(rays[p - 1]), -1)] + [(_angle(dirs[e]), e) for _, e in at_p])
+        for k, (_, e) in enumerate(order):
+            sk.slot[e] = k
+        sk.ray_slot.append(sk.slot.pop(-1))  # -1 stood for the ray
+        sk.slots.append(len(order))
     root = _State(
         half_a=0,
         vexp=(0,) * n,
         links=(tuple(free_loops), None),
-        pending=tuple(pending),
+        pending=tuple(range(len(crossings))),
         ends=tuple(tuple(sorted(ends)) for ends in at_puncture),
     )
     return sk, root
@@ -509,45 +502,40 @@ def _join(sk: _Skeleton, st: _State, p: int, i: int, sign: int) -> _State:
     """Join the ends i and i + 1 (in height order) at puncture p by a detour
     around p; sign +1 is the A^(1/2) term.
 
-    The detour leaves the higher end's ray and sweeps clockwise (sign +1)
-    or counterclockwise to the lower end's ray.  It crosses every end whose
-    ray lies strictly inside that wedge: the crossed end's edge now ends at
-    the new crossing, a stub carries its height and ray at p, and the strand
-    whose height is larger is over.
+    The detour leaves the higher end's slot and sweeps clockwise (sign +1)
+    or counterclockwise to the lower end's slot; a sweep is the number of
+    slots passed.  It crosses every end whose slot lies strictly inside
+    that wedge: the crossed end's edge now ends at the new crossing, a stub
+    carries its height and slot at p, and the strand whose height is larger
+    is over.
     """
     at_p = st.ends[p - 1]
     (_, lo), (h_hi, hi) = at_p[i], at_p[i + 1]
-    s = -sign
-    ref = sk.dir[hi]
-    stop = _sweep_angle(ref, sk.dir[lo], s)
+    s, m, top = -sign, sk.slots[p - 1], sk.slot[hi]
+    stop = s * (sk.slot[lo] - top) % m
     crossed = sorted(
-        (angle, h, e)
-        for h, e in at_p
-        if 0 < (angle := _sweep_angle(ref, sk.dir[e], s)) < stop
+        (sweep, h, e) for h, e in at_p if 0 < (sweep := s * (sk.slot[e] - top) % m) < stop
     )
-    bounds = [Fraction(0)] + [angle for angle, _, _ in crossed] + [stop]
-    ray = _sweep_angle(ref, sk.rays[p - 1], s)
-    forward = [(-s * sk.dir[e][1], s * sk.dir[e][0]) for _, _, e in crossed]
+    bounds = [0] + [sweep for sweep, _, _ in crossed] + [stop]
+    ray = s * (sk.ray_slot[p - 1] - top) % m
     pieces = [
-        sk.edge(
-            forward[j - 1] if j else None,
-            (-forward[j][0], -forward[j][1]) if j < len(crossed) else None,
-            [s if q == p and a0 < ray < a1 else 0 for q in range(1, sk.n + 1)],
-        )
-        for j, (a0, a1) in enumerate(zip(bounds, bounds[1:]))
+        sk.edge([s if q == p and a0 < ray < a1 else 0 for q in range(1, sk.n + 1)])
+        for a0, a1 in zip(bounds, bounds[1:])
     ]
     stubs = {}
     new_crossings = []
     for j, (_, h, e) in enumerate(crossed):
-        r = sk.dir[e]
-        stub = sk.edge(r, (-r[0], -r[1]), (0,) * sk.n)
+        stub = sk.edge((0,) * sk.n)
         sk.at[stub] = (p, h)
+        sk.slot[stub] = sk.slot[e]
         stubs[e] = stub
-        strand, detour = (e, stub ^ 1), (pieces[j] ^ 1, pieces[j + 1])
-        if h > h_hi:
-            new_crossings.append(sk.crossing(strand, detour))
-        else:
-            new_crossings.append(sk.crossing(detour, strand))
+        # The detour meets the strand at a right angle, turning by s: the
+        # A-pairing (each over end to the under end clockwise from it) is x
+        # when the strand is over and s > 0, or the detour is over and s < 0.
+        x = ((e, pieces[j] ^ 1), (stub ^ 1, pieces[j + 1]))
+        y = ((e, pieces[j + 1]), (stub ^ 1, pieces[j] ^ 1))
+        sk.smoothings.append((x, y) if (s > 0) == (h > h_hi) else (y, x))
+        new_crossings.append(len(sk.smoothings) - 1)
     ends = list(st.ends)
     ends[p - 1] = tuple((h, stubs.get(e, e)) for h, e in at_p if e not in (hi, lo))
     vexp = list(st.vexp)
@@ -665,33 +653,6 @@ def evaluate(d: Diagram, rng=None) -> AlgElement:
     if d.n >= 2:
         total = presentations.nf(presentations.Surface(0, d.n), total)
     return total
-
-
-def classify_terminal(d: Diagram) -> list[Arc]:
-    """The arcs of a crossingless diagram, sorted.
-
-    On n <= 3 every closed curve is a scalar, not a simple class, so a
-    diagram with one is rejected, as is an arc with both ends at one puncture.
-    """
-    if d.n > 3:
-        raise DiagramError("classification is defined for n <= 3 only")
-    errors = validate(d)
-    if errors:
-        raise DiagramError(errors)
-    if d.over:
-        raise DiagramError("terminal classification requires a crossingless diagram")
-    out = []
-    for c in d.components:
-        if c.closed:
-            enclosed = [q for q in range(1, d.n + 1) if winding_number(c.points, puncture_position(q))]
-            raise DiagramError(
-                f"a loop enclosing punctures {enclosed} is a scalar, not a simple class"
-            )
-        i, j = c.start.puncture, c.end.puncture
-        if i == j:
-            raise DiagramError("open component with both ends at one puncture is reducible")
-        out.append(Arc(min(i, j), max(i, j)))
-    return sorted(out)
 
 
 # ---------------------------------------------------------------------------
@@ -932,6 +893,6 @@ def dumps_diagram(d: Diagram) -> str:
 def loads_diagram(text: str) -> Diagram:
     try:
         obj = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:  # also an integer over the digit limit
         raise DiagramError(f"invalid JSON: {exc}") from None
     return diagram_from_dict(obj)

@@ -169,8 +169,18 @@ def test_eval_diagram_missing_file(capsys):
     assert "file not found" in err
 
 
+def test_eval_diagram_unreadable_file(tmp_path, capsys):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe{\x00}\x00")
+    for target in (path, tmp_path):
+        code, out, err = run(capsys, "eval-diagram", str(target))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: cannot read file: ") and err.count("\n") == 1
+
+
 def test_eval_diagram_hostile_documents(tmp_path, capsys):
     for text in (
+        '{"n": ' + "1" * 5000 + ', "components": []}',
         '{"n": 2, "components": [], "over_under": [{"a": [0], "b": [1, 1], "over": "a"}]}',
         '{"n": 1e400, "components": []}',
         '{"n": 2, "components": [{"points": [[1, 0], [2, 0]],'

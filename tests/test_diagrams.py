@@ -1,4 +1,4 @@
-"""Diagram engine: validation, resolution, invariance, classification."""
+"""Diagram engine: validation, resolution, invariance, stacking, file format."""
 
 import random
 from collections import Counter
@@ -8,7 +8,6 @@ import pytest
 
 from arcalg import (
     AlgElement,
-    Arc,
     Attachment,
     Component,
     Diagram,
@@ -17,7 +16,6 @@ from arcalg import (
     a_half_power,
     a_power,
     arc_diagram,
-    classify_terminal,
     diagram_crossings,
     diagram_from_dict,
     diagram_to_dict,
@@ -265,46 +263,34 @@ def test_alpha_squared_tree_size():
 
 
 # ---------------------------------------------------------------------------
-# classification
+# crossingless diagrams
 # ---------------------------------------------------------------------------
 
 
-def test_classify_single_arc():
-    d = arc_diagram(2, 1, 2)
-    assert classify_terminal(d) == [Arc(1, 2)]
+def test_lone_arc_is_its_generator():
+    assert evaluate(arc_diagram(2, 1, 2)) == AlgElement.from_generator(GEN_A, 2)
+    for g in GENS_A3:
+        assert evaluate(generator_diagram(Surface(0, 3), g)) == AlgElement.from_generator(g, 3)
 
 
-def test_classify_two_parallel_arcs():
+def test_two_parallel_tents_are_alpha_squared():
     c1 = tent(2, 1, 2, 0, apex=1)
     c2 = tent(2, 1, 2, 1, apex=2)
-    assert classify_terminal(Diagram(2, (c1, c2), {})) == [Arc(1, 2), Arc(1, 2)]
+    expected = nf(Surface(0, 2), AlgElement.from_word((GEN_A, GEN_A), 2))
+    assert evaluate(Diagram(2, (c1, c2), {})) == expected
 
 
-def test_classify_two_puncture_loop():
-    # On n <= 3 a loop around two punctures is a scalar, as evaluate says.
-    d = Diagram(3, (loop_component(F(1, 2), F(5, 2)),), {})
-    with pytest.raises(DiagramError, match=r"punctures \[1, 2\]"):
-        classify_terminal(d)
-    assert evaluate(d) == AlgElement.from_scalar(puncture_loop_scalar(3))
+def test_loop_around_two_punctures_is_a_puncture_loop():
+    # On n = 3 the loop around {1, 2} is the loop around {3} from its far
+    # side, and the loop around {2, 3} the one around {1}.
+    for x0, x1 in ((F(1, 2), F(5, 2)), (F(3, 2), F(7, 2))):
+        d = Diagram(3, (loop_component(x0, x1),), {})
+        assert evaluate(d) == AlgElement.from_scalar(puncture_loop_scalar(3))
 
 
-def test_classify_canonicalizes_to_puncture_one_side():
-    # The loop around {2, 3} is the loop around {1} from the far side.
-    d = Diagram(3, (loop_component(F(3, 2), F(7, 2)),), {})
-    with pytest.raises(DiagramError, match=r"punctures \[2, 3\]"):
-        classify_terminal(d)
-    assert evaluate(d) == AlgElement.from_scalar(puncture_loop_scalar(3))
-
-
-def test_classify_rejects_trivial_loop():
+def test_trivial_loop_value_on_three_punctures():
     d = Diagram(3, (loop_component(F(1, 4), F(3, 4)),), {})
-    with pytest.raises(DiagramError):
-        classify_terminal(d)
-
-
-def test_classify_rejects_crossings_and_large_n():
-    with pytest.raises(DiagramError):
-        classify_terminal(empty_diagram(4))
+    assert evaluate(d) == AlgElement.from_scalar(loop_scalar(3))
 
 
 # ---------------------------------------------------------------------------

@@ -125,15 +125,12 @@ def rand_element(rng, arity, gens):
 
 def test_print_parse_round_trip_200_random():
     rng = random.Random(60221023)
-    gens3 = tuple(AB3.values())
-    gensg = tuple(ABG.values())
+    surfaces = (Surface(0, 2), Surface(0, 3), Surface(1, 0), Surface(1, 1))
     for k in range(200):
-        if k % 2:
-            x = rand_element(rng, 3, gens3)
-            assert parse_element(str(x), 3, AB3) == x
-        else:
-            x = rand_element(rng, 1, gensg)
-            assert parse_element(str(x), 1, ABG) == x
+        surface = surfaces[k % 4]
+        alphabet = generator_alphabet(surface)
+        x = rand_element(rng, surface.punctures, tuple(alphabet.values()))
+        assert parse_element(str(x), surface.punctures, alphabet) == x
 
 
 def test_parse_print_identity_on_canonical_text():
