@@ -74,6 +74,18 @@ def element_to_dict(x: AlgElement) -> dict:
     }
 
 
+def _print_element(x: AlgElement, as_json: bool) -> int:
+    """Print x and return 0; or return 2 if one of its integers has too many
+    digits for ``str`` (the interpreter's limit), leaving stdout empty."""
+    try:
+        text = json.dumps(element_to_dict(x), sort_keys=True) if as_json else str(x)
+    except ValueError:
+        print("error: the result holds an integer too long to print", file=sys.stderr)
+        return USAGE_ERROR
+    print(text)
+    return 0
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="arcalg",
@@ -117,12 +129,7 @@ def _cmd_normalize(args) -> int:
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    result = alg.nf(element)
-    if args.json:
-        print(json.dumps(element_to_dict(result), sort_keys=True))
-    else:
-        print(result)
-    return 0
+    return _print_element(alg.nf(element), args.json)
 
 
 def _cmd_eval_diagram(args) -> int:
@@ -141,11 +148,7 @@ def _cmd_eval_diagram(args) -> int:
     except diagrams.DiagramError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    if args.json:
-        print(json.dumps(element_to_dict(result), sort_keys=True))
-    else:
-        print(result)
-    return 0
+    return _print_element(result, args.json)
 
 
 def _surface_checks(surface: Surface, variant: str) -> presentations.Report:

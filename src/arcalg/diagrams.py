@@ -15,7 +15,8 @@ crossing gets its A- and B-pairing from the directions of its four edge
 ends, the ends at each puncture and one fixed ray from it are put in
 counterclockwise order (their slots), and each edge gets its signed
 crossing count with every puncture's ray.  Resolution after that reads
-only slots and integer counts; it re-pairs edge ends and adds integers:
+only slots and integer counts; it pairs ends, which joins two open paths
+or closes a curve, and adds the ray counts along each path:
 
 * a crossing is resolved into its two smoothings with coefficients A and
   A^-1 (the A-smoothing opens the two regions swept by rotating the over
@@ -29,10 +30,10 @@ only slots and integer counts; it re-pairs edge ends and adds integers:
   whose slots lie strictly inside its wedge; those crossings are
   over/under by height and are resolved in turn, and each crossed end
   stays at the puncture through a short stub in its slot;
-* a closed curve of a terminal state encloses the punctures around which
-  the ray counts of its edges sum to a nonzero winding number.  On the
-  sphere it is a scalar whenever min(|enclosed|, n - |enclosed|) <= 1,
-  which holds for every n <= 3: -A^2 - A^-2 for 0 and A + A^-1 for 1.
+* a closed curve encloses the punctures around which the ray counts of
+  its edges sum to a nonzero winding number.  On the sphere it is a
+  scalar whenever min(|enclosed|, n - |enclosed|) <= 1, which holds for
+  every n <= 3: -A^2 - A^-2 for 0 and A + A^-1 for 1.
 
 Evaluation is defined for n = 0, 2 and 3.  On the once-punctured sphere a
 loop around the puncture is isotopic through infinity to a loop beside it,
@@ -55,10 +56,10 @@ from .freealg import AlgElement, Generator, Word
 from .geometry import (
     Dir,
     Point,
+    Vec,
     cross,
     dot,
     on_segment_interior,
-    primitive_dir,
     segment_hit,
     vadd,
     vsub,
@@ -350,7 +351,7 @@ def _free_ray(q: Point, avoid: Sequence[Point]) -> Dir:
             return d
 
 
-def _angle(r: Dir) -> Fraction:
+def _angle(r: Vec) -> Fraction:
     """A monotone stand-in in [0, 4) for the counterclockwise angle of r
     from the positive x-axis."""
     x, y = r
@@ -391,15 +392,18 @@ class _Skeleton:
 class _State(NamedTuple):
     """A node of the resolution tree.
 
-    The coefficient is the monomial A^(half_a/2) v^vexp.  ``links`` is a
-    linked list (pairs, rest) of the end pairings made so far, ``pending``
-    the crossings still to smooth, and ``ends[p - 1]`` the (height, end)
-    pairs at puncture p, sorted by height.
+    The coefficient is A^(half_a/2) v^vexp times one scalar per closed
+    loop; ``loops`` counts the loops around no puncture and around one.
+    ``paths`` maps an open end of a grown curve to (far end, ray counts from
+    the end); any other open end e has only its edge, (e ^ 1, count[e]).
+    ``pending`` holds the crossings still to smooth, and ``ends[p - 1]``
+    the (height, end) pairs at puncture p, sorted by height.
     """
 
     half_a: int
     vexp: tuple[int, ...]
-    links: tuple | None
+    loops: tuple[int, int]
+    paths: dict[int, tuple[int, tuple[int, ...]]]
     pending: tuple[int, ...]
     ends: tuple[tuple[tuple[int, int], ...], ...]
 
@@ -411,7 +415,7 @@ def _skeleton(d: Diagram, crossings: list[_XC]) -> tuple[_Skeleton, _State]:
     avoid += [xc[0] for xc in crossings] + [puncture_position(i) for i in range(1, n + 1)]
     rays = [_free_ray(puncture_position(q), avoid) for q in range(1, n + 1)]
     sk = _Skeleton(n)
-    dirs: list[Dir] = []  # the outward direction of each end
+    dirs: list[Vec] = []  # the outward direction of each end
 
     marks: dict[tuple[int, int], list[tuple[Point, int]]] = {}
     for x, (point, key1, key2) in enumerate(crossings):
@@ -419,7 +423,7 @@ def _skeleton(d: Diagram, crossings: list[_XC]) -> tuple[_Skeleton, _State]:
         marks.setdefault(key2, []).append((point, x))
     at_crossing: list[list[tuple[int, tuple[int, int]]]] = [[] for _ in crossings]
     at_puncture: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    free_loops = []
+    free_loops: list[tuple[int, int]] = []
 
     def add_edge(run) -> int:
         pts = [point for point, _, _ in run]
@@ -428,7 +432,7 @@ def _skeleton(d: Diagram, crossings: list[_XC]) -> tuple[_Skeleton, _State]:
             for q in range(1, n + 1)
         ]
         e = sk.edge(counts)
-        dirs.extend((primitive_dir(vsub(pts[1], pts[0])), primitive_dir(vsub(pts[-2], pts[-1]))))
+        dirs.extend((vsub(pts[1], pts[0]), vsub(pts[-2], pts[-1])))
         for end, (_, x, key) in ((e, run[0]), (e ^ 1, run[-1])):
             if x is not None:
                 at_crossing[x].append((end, key))
@@ -478,11 +482,13 @@ def _skeleton(d: Diagram, crossings: list[_XC]) -> tuple[_Skeleton, _State]:
     root = _State(
         half_a=0,
         vexp=(0,) * n,
-        links=(tuple(free_loops), None),
+        loops=(0, 0),
+        paths={},
         pending=tuple(range(len(crossings))),
         ends=tuple(tuple(sorted(ends)) for ends in at_puncture),
     )
-    return sk, root
+    loops, paths = _link(sk, root, free_loops)
+    return sk, root._replace(loops=loops, paths=paths)
 
 
 # ---------------------------------------------------------------------------
@@ -490,12 +496,30 @@ def _skeleton(d: Diagram, crossings: list[_XC]) -> tuple[_Skeleton, _State]:
 # ---------------------------------------------------------------------------
 
 
+def _link(sk: _Skeleton, st: _State, pairs) -> tuple[tuple[int, int], dict]:
+    """The loops and paths of ``st`` after pairing the two ends of each pair.
+
+    If a and b are the two ends of one curve, it closes into a loop that
+    encloses the punctures whose summed count is nonzero; otherwise the far
+    ends of a and b become the two ends of one path.
+    """
+    loops, paths = list(st.loops), dict(st.paths)
+    for a, b in pairs:
+        fa, ca = paths.pop(a, None) or (a ^ 1, sk.count[a])
+        fb, cb = paths.pop(b, None) or (b ^ 1, sk.count[b])
+        if fa == b:
+            enclosed = sum(1 for c in ca if c)
+            loops[min(enclosed, sk.n - enclosed) != 0] += 1
+        else:
+            paths[fa] = (fb, tuple(y - x for x, y in zip(ca, cb)))
+            paths[fb] = (fa, tuple(x - y for x, y in zip(ca, cb)))
+    return tuple(loops), paths
+
+
 def _smooth(sk: _Skeleton, st: _State, sign: int) -> _State:
     """The last pending crossing smoothed; sign +1 is the A term."""
-    pairs = sk.smoothings[st.pending[-1]][0 if sign > 0 else 1]
-    return st._replace(
-        half_a=st.half_a + 2 * sign, links=(pairs, st.links), pending=st.pending[:-1]
-    )
+    loops, paths = _link(sk, st, sk.smoothings[st.pending[-1]][0 if sign > 0 else 1])
+    return _State(st.half_a + 2 * sign, st.vexp, loops, paths, st.pending[:-1], st.ends)
 
 
 def _join(sk: _Skeleton, st: _State, p: int, i: int, sign: int) -> _State:
@@ -540,13 +564,9 @@ def _join(sk: _Skeleton, st: _State, p: int, i: int, sign: int) -> _State:
     ends[p - 1] = tuple((h, stubs.get(e, e)) for h, e in at_p if e not in (hi, lo))
     vexp = list(st.vexp)
     vexp[p - 1] -= 1
-    return _State(
-        half_a=st.half_a + sign,
-        vexp=tuple(vexp),
-        links=(((hi, pieces[0]), (lo, pieces[-1] ^ 1)), st.links),
-        pending=st.pending + tuple(new_crossings),
-        ends=tuple(ends),
-    )
+    loops, paths = _link(sk, st, ((hi, pieces[0]), (lo, pieces[-1] ^ 1)))
+    pending = st.pending + tuple(new_crossings)
+    return _State(st.half_a + sign, tuple(vexp), loops, paths, pending, tuple(ends))
 
 
 # The arc generators of the punctured spheres, keyed by the punctures they join.
@@ -557,45 +577,20 @@ _ARC_GENS: dict[presentations.Surface, dict[tuple[int, int], Generator]] = {
 
 
 def _terminal(sk: _Skeleton, st: _State) -> WeightedState:
-    """Walk the curves of a terminal state: arcs give the word, ordered by
-    the lower height of their two ends, and loops give scalars."""
+    """The weighted word of a terminal state: each open path is an arc, and
+    the arcs are ordered by the lower height of their two ends; each
+    counted loop multiplies the coefficient by its scalar."""
     n = sk.n
-    partner: dict[int, int] = {}
-    node = st.links
-    while node is not None:
-        pairs, node = node
-        for a, b in pairs:
-            partner[a] = b
-            partner[b] = a
-    seen: set[int] = set()
     arcs = []
     for at_p in st.ends:
         for _, e in at_p:
-            f = e ^ 1
-            seen.update((e, f))
-            while f in partner:
-                f = partner[f] ^ 1
-                seen.update((f, f ^ 1))
-            (p, h), (q, g) = sk.at[e], sk.at[f]
+            (p, h), (q, g) = sk.at[e], sk.at[st.paths[e][0] if e in st.paths else e ^ 1]
             if p < q:
                 arcs.append((min(h, g), (p, q)))
     coeff = LaurentPoly(n, {Monomial(st.half_a, st.vexp): 1})
-    for start in partner:
-        if start in seen:
-            continue
-        winding = [0] * n
-        e = start
-        while True:
-            seen.update((e, e ^ 1))
-            winding = [w + c for w, c in zip(winding, sk.count[e])]
-            e = partner[e ^ 1]
-            if e == start:
-                break
-        enclosed = sum(1 for w in winding if w)
-        if min(enclosed, n - enclosed) == 0:
-            coeff = coeff * ring.loop_scalar(n)
-        else:
-            coeff = coeff * ring.puncture_loop_scalar(n)
+    for scalar, k in zip((ring.loop_scalar, ring.puncture_loop_scalar), st.loops):
+        for _ in range(k):
+            coeff = coeff * scalar(n)
     word = tuple(_ARC_GENS[0, n][ij] for _, ij in sorted(arcs))
     return WeightedState(coeff, word)
 

@@ -36,6 +36,14 @@ class ParseError(ValueError):
 _SYMBOLS = "+-*^()/"
 
 
+def _int(text: str, position: int) -> int:
+    """The value of a digit string; too many digits for ``int`` is an error."""
+    try:
+        return int(text)
+    except ValueError:  # over the interpreter's limit on converted digits
+        raise ParseError(f"integer of {len(text)} digits is too long", position) from None
+
+
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     """Tokens as (kind, text, position); kinds: int, name, symbol."""
     tokens = []
@@ -126,13 +134,13 @@ class _Parser:
         kind, text, pos = self.next()
         is_a = False
         if kind == "int":
-            base = AlgElement.from_scalar(ring.const(int(text), self.arity))
+            base = AlgElement.from_scalar(ring.const(_int(text, pos), self.arity))
         elif kind == "name":
             if text == "A":
                 base = AlgElement.from_scalar(ring.a_power(1, self.arity))
                 is_a = True
             elif text[0] == "v" and len(text) > 1:
-                idx = int(text[1:])
+                idx = _int(text[1:], pos)
                 if not 1 <= idx <= self.arity:
                     raise ParseError(f"v{idx} does not exist in R_{self.arity}", pos)
                 base = AlgElement.from_scalar(ring.v_power(idx, self.arity))
@@ -169,7 +177,7 @@ class _Parser:
                 tok = self.next()
             if tok[0] != "int":
                 raise ParseError(f"expected integer exponent, found {tok[1]!r}", tok[2])
-            k = sign * int(tok[1])
+            k = sign * _int(tok[1], tok[2])
             nxt = self.next()
             if nxt[1] == "/":
                 denom = self.next()
@@ -188,7 +196,7 @@ class _Parser:
             tok = self.next()
         if tok[0] != "int":
             raise ParseError(f"expected integer exponent, found {tok[1]!r}", tok[2])
-        k = sign * int(tok[1])
+        k = sign * _int(tok[1], tok[2])
         return (2 * k, True) if allow_half else (k, False)
 
 

@@ -1,13 +1,12 @@
 """Exact rational plane geometry for the diagram engine.
 
-Points are pairs of fractions; no floating point anywhere.  Directions are
-reduced to primitive integer vectors so they hash and compare exactly.
+Points are pairs of fractions; no floating point anywhere.  A direction is
+any nonzero vector along it; the sign of ``cross`` compares two exactly.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 from typing import NamedTuple, Sequence
 
 Point = tuple[Fraction, Fraction]
@@ -22,7 +21,6 @@ __all__ = [
     "vadd",
     "cross",
     "dot",
-    "primitive_dir",
     "SegHit",
     "segment_hit",
     "on_segment_interior",
@@ -44,20 +42,6 @@ def cross(u: Vec, v: Vec) -> Fraction:
 
 def dot(u: Vec, v: Vec) -> Fraction:
     return u[0] * v[0] + u[1] * v[1]
-
-
-def primitive_dir(v: Vec) -> Dir:
-    """The primitive integer vector with the same direction as v (nonzero)."""
-    a = Fraction(v[0])
-    b = Fraction(v[1])
-    if a == 0 and b == 0:
-        raise ValueError("zero vector has no direction")
-    num1, den1 = a.numerator, a.denominator
-    num2, den2 = b.numerator, b.denominator
-    x = num1 * den2
-    y = num2 * den1
-    g = gcd(abs(x), abs(y))
-    return (x // g, y // g)
 
 
 class SegHit(NamedTuple):

@@ -33,7 +33,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 from . import ring
 from .freealg import EMPTY_WORD, AlgElement, Generator, Word
-from .rewrite import ConfluenceReport, RewriteSystem, Rule, complete
+from .rewrite import RewriteSystem, Rule, complete
 from .ring import LaurentPoly, Monomial
 
 __all__ = [
@@ -125,7 +125,6 @@ class PresentedAlgebra:
     system: RewriteSystem  # completed executable system
     relations: tuple[tuple[str, AlgElement, AlgElement], ...]
     boundary_scalar: LaurentPoly | None
-    completion: ConfluenceReport
 
     @property
     def arity(self) -> int:
@@ -271,7 +270,7 @@ def _build_algebra(surface: Surface, variant: str) -> PresentedAlgebra:
         rules = _sphere3_rules()
     else:
         rules = tuple(Rule.orient(lhs - rhs) for _, lhs, rhs in relations)
-    system, report = complete(RewriteSystem(n, rules), DEFAULT_DEGREE_BOUND)
+    system, _ = complete(RewriteSystem(n, rules), DEFAULT_DEGREE_BOUND)
     return PresentedAlgebra(
         surface=surface,
         generators=_GENERATORS[surface],
@@ -279,7 +278,6 @@ def _build_algebra(surface: Surface, variant: str) -> PresentedAlgebra:
         system=system,
         relations=relations,
         boundary_scalar=boundary,
-        completion=report,
     )
 
 

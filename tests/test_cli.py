@@ -56,6 +56,34 @@ def test_normalize_deep_nesting(capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+LONG = "1" * 5000  # over Python's default limit of 4300 digits for int <-> str
+
+
+@pytest.mark.parametrize(
+    "argv, offset",
+    [
+        (["--surface", "0,2", "a + " + LONG], 4),
+        (["--surface", "0,2", "A^" + LONG], 2),
+        (["--surface", "1,1", "g1^" + LONG], 3),
+        (["--surface", "0,2", "2^20000"], None),
+        (["--surface", "0,2", "--json", "2^20000"], None),
+    ],
+    ids=["literal", "A-exponent", "g1-exponent", "result", "result-json"],
+)
+def test_normalize_digit_limit_is_a_usage_error(capsys, argv, offset):
+    code, out, err = run(capsys, "normalize", *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    if offset is not None:
+        assert f"(at offset {offset})" in err
+
+
+def test_normalize_prints_4300_digits(capsys):
+    digits = "9" * 4300
+    code, out, _ = run(capsys, "normalize", "--surface", "0,2", digits)
+    assert (code, out) == (0, digits + "\n")
+
+
 def test_unsupported_surface_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["normalize", "--surface", "0,5", "a1"])

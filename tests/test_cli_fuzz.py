@@ -1,9 +1,11 @@
-"""Deterministic fuzzing of the diagram-file reader behind ``eval-diagram``.
+"""Deterministic fuzzing of ``eval-diagram`` and ``normalize``.
 
-Files hold random JSON documents built from the keys of the diagram schema,
-or random bytes.  ``cli.main`` runs in-process: it must return 0 or 2, let
-no exception escape, and on 2 write exactly one ``error:`` line.
-Hypothesis runs derandomized, so every run checks the same examples.
+``eval-diagram`` reads files that hold random JSON documents built from the
+keys of the diagram schema, or random bytes; ``normalize`` gets random
+token strings of the expression grammar.  ``cli.main`` runs in-process: it
+must return 0 or 2, let no exception escape, and on 2 write exactly one
+``error:`` line.  Hypothesis runs derandomized, so every run checks the
+same examples.
 """
 
 import json
@@ -11,7 +13,7 @@ import json
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import HealthCheck, given, settings  # noqa: E402
+from hypothesis import HealthCheck, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from arcalg.cli import main  # noqa: E402
@@ -83,8 +85,8 @@ def documents(draw):
     return corrupted(doc, draw)
 
 
-def assert_clean_exit(path, capsys):
-    code = main(["eval-diagram", str(path)])
+def assert_clean_exit(argv, capsys):
+    code = main(argv)
     out, err = capsys.readouterr()
     assert code in (0, 2)
     if code == 2:
@@ -97,7 +99,7 @@ def assert_clean_exit(path, capsys):
 def test_random_documents_exit_cleanly(tmp_path, capsys, doc):
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))
-    assert_clean_exit(path, capsys)
+    assert_clean_exit(["eval-diagram", str(path)], capsys)
 
 
 @settings(FUZZ, max_examples=100)
@@ -105,4 +107,22 @@ def test_random_documents_exit_cleanly(tmp_path, capsys, doc):
 def test_random_bytes_exit_cleanly(tmp_path, capsys, data):
     path = tmp_path / "doc.json"
     path.write_bytes(data)
-    assert_clean_exit(path, capsys)
+    assert_clean_exit(["eval-diagram", str(path)], capsys)
+
+
+# Integers are single digits, and tokens are joined by spaces so that two
+# digits never form one integer: no exponent exceeds 9.
+TOKENS = st.sampled_from(
+    tuple("+-*^()/") + tuple("0123456789") + ("A", "v1", "v2", "v4", "a", "a1", "a2", "a3", "g1")
+)
+LONG = "1" * 5000  # over Python's default limit of 4300 digits for int <-> str
+
+
+@settings(FUZZ, max_examples=300)
+@given(st.sampled_from(("0,2", "0,3")), st.lists(TOKENS, max_size=12).map(" ".join))
+@example("0,2", "2^20000")
+@example("0,3", "a1 + " + LONG)
+@example("0,3", "A^" + LONG)
+@example("0,3", "a2^" + LONG)
+def test_random_expressions_exit_cleanly(capsys, surface, text):
+    assert_clean_exit(["normalize", "--surface", surface, text], capsys)

@@ -182,18 +182,8 @@ def _state_coefficient(n, st):
 
 
 def _far_end(st, e):
-    """The end reached by walking the curve that starts at end ``e``."""
-    partner = {}
-    node = st.links
-    while node is not None:
-        pairs, node = node
-        for a, b in pairs:
-            partner[a] = b
-            partner[b] = a
-    f = e ^ 1
-    while f in partner:
-        f = partner[f] ^ 1
-    return f
+    """The far end of the open path that starts at end ``e``."""
+    return st.paths[e][0] if e in st.paths else e ^ 1
 
 
 def test_resolve_crossing_single_step():
@@ -209,6 +199,14 @@ def test_resolve_crossing_single_step():
     assert _state_coefficient(0, minus) == a_power(-1, 0)
     for child in (plus, minus):
         assert len(child.pending) == 1
+        assert child.loops == (0, 0)
+    # the second smoothing closes both curves: one loop when the two signs
+    # agree, two when they differ; no open path is left
+    for first, child in ((+1, plus), (-1, minus)):
+        for second in (+1, -1):
+            leaf = _smooth(sk, child, second)
+            assert leaf.pending == () and leaf.paths == {}
+            assert leaf.loops == ((1 if first == second else 2), 0)
     with pytest.raises(DiagramError):
         resolve_fully(Diagram(0, (l1, l2), {**d.over, ((7, 7), (8, 8)): "a"}))
 
