@@ -17,9 +17,12 @@ Systems are immutable after construction.  ``normal_form`` is pure, so it
 may run concurrently on many inputs.  It takes the steps of ``reduce_once``
 (largest reducible word, first rule, leftmost occurrence) in one pass over
 the support, largest word first, without re-sorting it at each step.  Its
-coefficients accumulate as raw monomial -> int maps; only final words get a
-``LaurentPoly``.  The one-step reduct of a coefficient-1 word is built by
-concatenation, so critical pairs multiply no ring or algebra elements.
+coefficients accumulate as maps from packed monomials to ints: each
+monomial is one int in balanced base 2^s, wide enough for every monomial
+the call can form, so a monomial product is an int addition; only final
+words are decoded to a ``LaurentPoly``.  The one-step reduct of a
+coefficient-1 word is built by concatenation, so critical pairs multiply no
+ring or algebra elements.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from bisect import insort
 from dataclasses import dataclass, field
 
 from .freealg import AlgElement, Word, word_key, word_str
-from .ring import LaurentPoly
+from .ring import LaurentPoly, Monomial
 
 __all__ = [
     "RuleError",
@@ -57,6 +60,30 @@ def find_subword(word: Word, sub: Word) -> int:
         if word[i : i + m] == sub:
             return i
     return -1
+
+
+def _max_field(monos) -> int:
+    """Largest absolute exponent among the monomials, or 0."""
+    return max((abs(f) for m in monos for f in (m.half_a, *m.vexp)), default=0)
+
+
+def _pack(m: Monomial, s: int) -> int:
+    """``h + e1*2^s + ... + en*2^(n*s)``: exact for fields in [-2^(s-1), 2^(s-1))."""
+    x = 0
+    for f in reversed(m.vexp):
+        x = (x << s) + f
+    return (x << s) + m.half_a
+
+
+def _unpack(x: int, s: int, arity: int) -> Monomial:
+    """Inverse of ``_pack``: read ``arity + 1`` balanced base-2^s digits."""
+    half, mask = 1 << (s - 1), (1 << s) - 1
+    fields = []
+    for _ in range(arity + 1):
+        f = ((x + half) & mask) - half
+        fields.append(f)
+        x = (x - f) >> s
+    return tuple.__new__(Monomial, (fields[0], tuple(fields[1:])))
 
 
 @dataclass(frozen=True)
@@ -101,6 +128,21 @@ class RewriteSystem:
         for r in self.rules:
             if r.rhs.arity != self.arity:
                 raise RuleError("rule coefficient arity differs from system arity")
+        # Not fields, so ``replace`` and ``==`` do not see them.
+        monos = (m for r in self.rules for c in r.rhs._terms.values() for m in c._terms)
+        object.__setattr__(self, "_rule_field", _max_field(monos))
+        object.__setattr__(self, "_packed", (None, None))  # the last s and its rule table
+
+    def _packed_rules(self, s: int) -> list:
+        """Per rule, ``[(u, {packed monomial: int})]`` for the terms of its rhs."""
+        last, packed = self._packed
+        if last != s:  # racing calls store equal tables
+            packed = [
+                [(u, {_pack(m, s): k for m, k in c._terms.items()}) for u, c in r.rhs._terms.items()]
+                for r in self.rules
+            ]
+            object.__setattr__(self, "_packed", (s, packed))
+        return packed
 
     def find_redex(self, word: Word) -> tuple[int, int] | None:
         """(rule index, position) of the first matching rule's leftmost match."""
@@ -141,8 +183,18 @@ class RewriteSystem:
         return None
 
     def normal_form(self, x: AlgElement) -> AlgElement:
-        """``reduce_once`` to a fixed point, in one pass from the largest word down."""
-        terms = {w: dict(c._terms) for w, c in x._terms.items()}  # word -> {monomial: int}
+        """``reduce_once`` to a fixed point, in one pass from the largest word down.
+
+        A monomial the call forms is an input monomial times at most
+        ``max_steps`` rule monomials, so packing in base 2^s with
+        2^(s-1) above that bound on its fields is exact.
+        """
+        monos = {m for c in x._terms.values() for m in c._terms}
+        reach = _max_field(monos) + max(self.max_steps, 0) * self._rule_field
+        s = reach.bit_length() + 1
+        enc = {m: _pack(m, s) for m in monos}
+        packed = self._packed_rules(s)
+        terms = {w: {enc[m]: k for m, k in c._terms.items()} for w, c in x._terms.items()}
         pending = sorted(terms, key=word_key)  # a max-queue: pop() is the largest
         out = {}
         steps = 0
@@ -153,25 +205,32 @@ class RewriteSystem:
                 continue
             hit = self.find_redex(word)
             if hit is None:  # final: later steps only add smaller words
-                out[word] = LaurentPoly._make(self.arity, c)
+                out[word] = c
                 continue
             steps += 1
             if steps > self.max_steps:
                 raise StepBudgetExceeded(f"no normal form after {self.max_steps} steps")
-            rule, pos = self.rules[hit[0]], hit[1]
-            pre, post = word[:pos], word[pos + len(rule.lhs) :]
-            for u, r in rule.rhs._terms.items():
+            ri, pos = hit
+            pre, post = word[:pos], word[pos + len(self.rules[ri].lhs) :]
+            for u, r in packed[ri]:
                 new = pre + u + post
                 assert word_key(new) < word_key(word), "reduction step did not decrease the term order"
                 acc = terms.get(new)
                 if acc is None:
                     acc = terms[new] = {}
                     insort(pending, new, key=word_key)
-                for m1, k1 in r._terms.items():  # acc += r * c
+                for m1, k1 in r.items():  # acc += r * c
                     for m2, k2 in c.items():
-                        m = m1 * m2
+                        m = m1 + m2
                         acc[m] = acc.get(m, 0) + k1 * k2
-        return AlgElement._make(self.arity, out)
+        dec = {p: m for m, p in enc.items()}  # input monomials need no decoding
+        for c in out.values():
+            for p in c.keys() - dec.keys():
+                dec[p] = _unpack(p, s, self.arity)
+        return AlgElement._make(
+            self.arity,
+            {w: LaurentPoly._make(self.arity, {dec[p]: k for p, k in c.items()}) for w, c in out.items()},
+        )
 
 
 @dataclass(frozen=True)
@@ -245,31 +304,44 @@ class ConfluenceReport:
 def complete(system: RewriteSystem, degree_bound: int) -> tuple[RewriteSystem, ConfluenceReport]:
     """Knuth-Bendix style completion up to ``degree_bound``.
 
-    Repeatedly normalizes both reducts of each critical pair; a non-joinable
-    difference is oriented into a new rule (leading word -> lower terms) when
-    its leading coefficient is a unit of R_n, otherwise it is reported as a
-    failure and left alone.  Sound because every added rule is a consequence
-    of the existing ones.
+    Scans the critical pairs in order and normalizes each pair's difference.
+    A zero difference joins the pair.  Otherwise the difference is oriented
+    into a new rule (leading word -> lower terms) if its leading coefficient
+    is a unit of R_n, and the scan restarts; if not, the pair is a failure,
+    reported with nf(left) and nf(right) = nf(left) - nf(difference).  Sound
+    because every added rule is a consequence of the existing ones.
+
+    A joined pair is not normalized again.  ``normal_form`` is linear, since
+    the fate of a word depends only on the word, and ``find_redex`` tries
+    rules in system order; so for S' = S plus appended rules, every S-step
+    on a word is its S'-step and nf_S' = nf_S' o nf_S.  A pair that joins
+    under S therefore joins under every later system.  The pair a rule comes
+    from is joined by it: the other words of the normalized difference are
+    below its leading word, so cannot contain it.  Failures are examined
+    again in every pass; later rules may join them.
     """
     rules = list(system.rules)
     added: list[Rule] = []
+    joined: set[CriticalPair] = set()
     while True:
         sysx = RewriteSystem(system.arity, tuple(rules), system.max_steps)
         report = ConfluenceReport(added_rules=added)
         progressed = False
         for cp in critical_pairs(sysx, degree_bound):
-            n1 = sysx.normal_form(cp.left)
-            n2 = sysx.normal_form(cp.right)
-            if n1 == n2:
-                report.joinable.append(cp)
-                continue
-            rule = Rule.orient(n1 - n2)
-            if rule is None:
-                report.failures.append((cp, n1, n2))
-                continue
-            rules.append(rule)
-            added.append(rule)
-            progressed = True
-            break
+            if cp not in joined:
+                diff = sysx.normal_form(cp.left - cp.right)
+                if diff:
+                    rule = Rule.orient(diff)
+                    if rule is None:
+                        n1 = sysx.normal_form(cp.left)
+                        report.failures.append((cp, n1, n1 - diff))
+                        continue
+                    rules.append(rule)
+                    added.append(rule)
+                    joined.add(cp)
+                    progressed = True
+                    break
+                joined.add(cp)
+            report.joinable.append(cp)
         if not progressed:
             return sysx, report

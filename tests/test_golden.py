@@ -28,6 +28,12 @@ COMMANDS = {
     "complete-0-3.json": (["complete", "--surface", "0,3", "--json"], 0),
     "complete-1-0.json": (["complete", "--surface", "1,0", "--json"], 0),
     "complete-1-1.json": (["complete", "--surface", "1,1", "--json"], 0),
+    "complete-1-0-bound-11.json": (["complete", "--surface", "1,0", "--degree-bound", "11", "--json"], 0),
+    "complete-1-1-bound-11.json": (["complete", "--surface", "1,1", "--degree-bound", "11", "--json"], 0),
+    "complete-1-1-i-plus-1-bound-7.json": (
+        ["complete", "--surface", "1,1", "--variant", "i-plus-1", "--degree-bound", "7", "--json"],
+        1,
+    ),
     "rep-check.txt": (["rep-check"], 0),
     "eval-diagram.txt": (["eval-diagram", SAMPLE], 0),
     "eval-diagram.json": (["eval-diagram", SAMPLE, "--json"], 0),

@@ -1,6 +1,7 @@
 """Rewriting engine: reduction, normal forms, critical pairs, completion."""
 
 import dataclasses
+import itertools
 import random
 
 import pytest
@@ -9,6 +10,7 @@ from arcalg import (
     AlgElement,
     Generator,
     LaurentPoly,
+    Monomial,
     RewriteSystem,
     Rule,
     RuleError,
@@ -25,6 +27,7 @@ from arcalg import (
     v_power,
 )
 from arcalg.freealg import word_key
+from arcalg.rewrite import _pack, _unpack
 
 from bruteforce import _redexes, all_normal_forms, random_normal_form
 
@@ -412,3 +415,135 @@ def test_multiset_measure_decreases():
         after = sorted((word_key(w) for w in nxt.support()), reverse=True)
         assert after < before
         cur = nxt
+
+
+SURFACES = [Surface(0, 2), Surface(0, 3), Surface(1, 0), Surface(1, 1)]
+TORUS_SYSTEMS = [
+    (s, v) for s in (Surface(1, 0), Surface(1, 1)) for v in (VARIANT_DEFAULT, VARIANT_LITERAL)
+]
+
+
+def _random_element(alg, rng, max_len=5):
+    """A sum of up to three words, each with a coefficient of up to two monomials."""
+    x = AlgElement.zero(alg.arity)
+    for _ in range(rng.randint(1, 3)):
+        word = tuple(rng.choice(alg.generators) for _ in range(rng.randint(0, max_len)))
+        monos = [
+            Monomial(rng.randint(-3, 3), tuple(rng.randint(-3, 3) for _ in range(alg.arity)))
+            for _ in range(rng.randint(1, 2))
+        ]
+        coeff = LaurentPoly(alg.arity, [(m, rng.choice((-2, -1, 1, 3))) for m in monos])
+        x = x + AlgElement.from_word(word, alg.arity, coeff)
+    return x
+
+
+@pytest.mark.parametrize("surface", SURFACES, ids=str)
+def test_normal_form_is_linear(surface):
+    # complete normalizes one difference per critical pair on this fact.
+    alg = algebra_for(surface)
+    rng = random.Random(f"linear {surface}")
+    for _ in range(40):
+        x, y = _random_element(alg, rng), _random_element(alg, rng)
+        assert alg.nf(x - y) == alg.nf(x) - alg.nf(y)
+
+
+@pytest.mark.parametrize("surface, variant", TORUS_SYSTEMS, ids=str)
+def test_appending_a_rule_composes_normal_forms(surface, variant):
+    # For each pass S -> S+R of a completion, nf_{S+R} = nf_{S+R} o nf_S,
+    # so a pair joined under S stays joined.
+    alg = algebra_for(surface, variant)
+    _, report = complete(RewriteSystem(alg.arity, alg.rules), 8)
+    assert report.added_rules
+    rng = random.Random(f"compose {surface} {variant}")
+    for k in range(len(report.added_rules)):
+        before = RewriteSystem(alg.arity, alg.rules + tuple(report.added_rules[:k]))
+        after = RewriteSystem(alg.arity, before.rules + (report.added_rules[k],))
+        for _ in range(8):
+            x = _random_element(alg, rng, max_len=6)
+            assert after.normal_form(x) == after.normal_form(before.normal_form(x))
+
+
+@pytest.mark.parametrize("surface, variant", TORUS_SYSTEMS, ids=str)
+def test_completion_report_agrees_with_separate_normal_forms(surface, variant):
+    # Independent of what complete remembers between passes: under the
+    # final system each joinable pair's two sides have one normal form, and
+    # each failure lists the two sides' normal forms.
+    alg = algebra_for(surface, variant)
+    done, report = complete(RewriteSystem(alg.arity, alg.rules), 8)
+    for cp in report.joinable:
+        assert done.normal_form(cp.left) == done.normal_form(cp.right)
+    for cp, n1, n2 in report.failures:
+        assert (n1, n2) == (done.normal_form(cp.left), done.normal_form(cp.right))
+    assert bool(report.failures) == (variant == VARIANT_LITERAL)
+
+
+@pytest.mark.parametrize("surface", [Surface(0, 3), Surface(1, 1)], ids=str)
+def test_normal_form_exact_at_huge_exponents(surface):
+    # Packed monomials must not overflow into a neighbouring field.
+    alg = algebra_for(surface)
+    rng = random.Random(f"huge {surface}")
+    # A^(+-2^70) is half_a +-2^71; a field of 2^72 - 1 fills its bits.
+    halves = (2**71, -(2**71), 2**72 - 1, 1 - 2**72)
+    for i in range(16):
+        x = _random_element(alg, rng, max_len=4)
+        vexp = tuple(rng.choice((2**65, -(2**65))) for _ in range(alg.arity))
+        coeff = LaurentPoly(alg.arity, [(Monomial(halves[i % 4], vexp), 1)])
+        x = x.scale(coeff) + x
+        system = alg.system if i else dataclasses.replace(alg.system, max_steps=10**12)
+        assert system.normal_form(x) == _reduce_to_fixed_point(system, x)[0]
+    g1, g2, g3 = alg.generators[:3]
+    word = AlgElement.from_word((g2, g1, g3, g2), alg.arity, a_power(2**70, alg.arity))
+    x = word.scale(v_power(1, alg.arity, -(2**65)))
+    assert alg.nf(x) == _reduce_to_fixed_point(alg.system, x)[0]
+
+
+def test_packing_holds_the_exponents_of_every_step():
+    # Each step multiplies the coefficient by A^(2^40) v1^(-2^39), so the
+    # packing must hold eleven times the rule's exponents, also when the
+    # budget allows exactly the eleven steps.
+    a = Generator("a")
+    scalar = a_power(2**40, 1) * v_power(1, 1, -(2**39))
+    rule = Rule((a, a), AlgElement.from_word((a,), 1, scalar))
+    x = AlgElement.from_word((a,) * 12, 1)
+    expected = AlgElement.from_word((a,), 1, scalar**11)
+    for budget in (11, 100_000):
+        assert RewriteSystem(1, (rule,), max_steps=budget).normal_form(x) == expected
+
+
+def test_pack_round_trips_at_the_field_limits():
+    for s in (1, 2, 7, 20, 72):
+        edge = (1 << (s - 1)) - 1  # B/2 - 1 for B = 2^s
+        for arity in range(4):
+            for fields in itertools.product((-edge, 0, edge), repeat=arity + 1):
+                m = Monomial(fields[0], fields[1:])
+                assert _unpack(_pack(m, s), s, arity) == m
+
+
+def test_completion_normalizes_each_critical_pair_once(monkeypatch):
+    # The completion workload of the benchmark: F0,2 at 6, F0,3 at 6..11,
+    # both tori at 3..11.  Without failures every pair of the final pass
+    # is normalized exactly once, as one difference.
+    ops = (
+        [(Surface(0, 2), 6)]
+        + [(Surface(0, 3), b) for b in range(6, 12)]
+        + [(s, b) for s in (Surface(1, 0), Surface(1, 1)) for b in range(3, 12)]
+    )
+    raw = {s: RewriteSystem(algebra_for(s).arity, algebra_for(s).rules) for s in SURFACES}
+    calls = 0
+    normal_form = RewriteSystem.normal_form
+
+    def counting(self, x):
+        nonlocal calls
+        calls += 1
+        return normal_form(self, x)
+
+    monkeypatch.setattr(RewriteSystem, "normal_form", counting)
+    per_op = {}
+    for surface, bound in ops:
+        before = calls
+        _, report = complete(raw[surface], bound)
+        per_op[surface, bound] = calls - before
+        assert per_op[surface, bound] == len(report.joinable)
+    assert per_op[Surface(1, 0), 11] == per_op[Surface(1, 1), 11] == 33
+    assert per_op[Surface(0, 3), 6] == 27
+    assert calls == 469
