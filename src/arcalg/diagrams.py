@@ -10,7 +10,8 @@ points, no crossings at punctures) is enforced exactly.
 
 The evaluator is Kauffman's state model, extended by the puncture-skein and
 puncture-framing relations of the arc algebra.  Exact geometry runs once
-per diagram: the components are cut at their crossings into edges, each
+per diagram, which keeps its crossings (``stack`` gets its product's from
+its factors); the components are cut at them into edges, each
 crossing gets its A- and B-pairing from the directions of its four edge
 ends, the ends at each puncture and one fixed ray from it are put in
 counterclockwise order (their slots), and each edge gets its signed
@@ -46,9 +47,10 @@ at every step, so resolution terminates.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import combinations, count
+from itertools import count
+from operator import itemgetter
 from typing import Mapping, NamedTuple, Sequence
 
 from . import presentations, ring
@@ -116,6 +118,9 @@ class Component:
     start: Attachment | None = None
     end: Attachment | None = None
 
+    def __post_init__(self):
+        object.__setattr__(self, "points", tuple(self.points))  # fixed: diagrams keep crossings
+
     def segment_count(self) -> int:
         return len(self.points) if self.closed else len(self.points) - 1
 
@@ -136,6 +141,7 @@ class Diagram:
     def __post_init__(self):
         object.__setattr__(self, "components", tuple(self.components))
         object.__setattr__(self, "over", dict(self.over or {}))
+        object.__setattr__(self, "_geometry", None)  # what _crossings found
 
 
 @dataclass(frozen=True)
@@ -165,21 +171,20 @@ def _adjacent(c: Component, k1: int, k2: int) -> bool:
 
 def _terminal_at(c: Component, k: int, point: Point) -> bool:
     """Does segment k meet ``point`` at a legal open-endpoint of its component?"""
-    if c.closed:
-        return False
-    if k == 0 and c.points[0] == point:
-        return True
-    if k == c.segment_count() - 1 and c.points[-1] == point:
-        return True
-    return False
+    last = c.segment_count() - 1
+    return not c.closed and (k == 0 and c.points[0] == point or k == last and c.points[-1] == point)
 
 
-def _scan(comps: Sequence[Component], n: int) -> tuple[list[str], list[_XC]]:
-    """General-position errors and transverse crossings among segments."""
+def _scan(comps: Sequence[Component], n: int, group=None, known=()) -> tuple[list[str], list[_XC]]:
+    """General-position errors and transverse crossings among segments.
+
+    Two segments with one nonzero ``group(sid, k)`` are not compared: their
+    crossings are among ``known``, which join the result.  Segments of group
+    1 stay in place and are not tested against the punctures either."""
     errors: list[str] = []
     crossings: list[_XC] = []
     punctures = {puncture_position(i): i for i in range(1, n + 1)}
-    segs: list[tuple[int, int, Point, Point, tuple]] = []
+    segs: list[tuple[int, int, Point, Point, tuple, int]] = []
     for sid, c in enumerate(comps):
         for k in range(c.segment_count()):
             a, b = c.segment(k)
@@ -189,23 +194,23 @@ def _scan(comps: Sequence[Component], n: int) -> tuple[list[str], list[_XC]]:
                 a[1] if a[1] <= b[1] else b[1],
                 a[1] if a[1] >= b[1] else b[1],
             )
-            segs.append((sid, k, a, b, box))
+            segs.append((sid, k, a, b, box, group(sid, k) if group else 0))
 
     total = len(segs)
     for idx1 in range(total):
-        sid1, k1, a1, b1, box1 = segs[idx1]
+        sid1, k1, a1, b1, box1, g1 = segs[idx1]
         comp1 = comps[sid1]
-        for q, qi in punctures.items():
+        for q, qi in punctures.items() if g1 != 1 else ():
             if box1[0] <= q[0] <= box1[1] and box1[2] <= q[1] <= box1[3]:
                 if on_segment_interior(q, a1, b1):
                     errors.append(f"segment ({sid1},{k1}) passes through puncture {qi}")
                 for endpoint in (a1, b1):
                     if endpoint == q and not _terminal_at(comp1, k1, endpoint):
-                        errors.append(
-                            f"vertex of component {sid1} lies at puncture {qi}"
-                        )
+                        errors.append(f"vertex of component {sid1} lies at puncture {qi}")
         for idx2 in range(idx1 + 1, total):
-            sid2, k2, a2, b2, box2 = segs[idx2]
+            sid2, k2, a2, b2, box2, g2 = segs[idx2]
+            if g1 and g1 == g2:
+                continue
             hit = None
             if box1[0] <= box2[1] and box2[0] <= box1[1] and box1[2] <= box2[3] and box2[2] <= box1[3]:
                 hit = segment_hit(a1, b1, a2, b2)
@@ -232,6 +237,13 @@ def _scan(comps: Sequence[Component], n: int) -> tuple[list[str], list[_XC]]:
                 )
             else:
                 crossings.append((hit.point, (sid1, k1), (sid2, k2)))
+    crossings += known
+    crossings.sort(key=itemgetter(1, 2))  # (a no-op without ``known``)
+    seen: set[Point] = set()
+    for xc in crossings:
+        if xc[0] in seen:
+            errors.append(f"three strands meet at {xc[0]}")
+        seen.add(xc[0])
     return errors, crossings
 
 
@@ -268,38 +280,30 @@ def _structural_errors(d: Diagram) -> list[str]:
                         f"puncture {att.puncture}: duplicate endpoint height {att.height}"
                     )
                 hs.add(att.height)
-        m = len(pts) if c.closed else len(pts) - 1
-        for k in range(m):
+        for k in range(c.segment_count()):
             if pts[k] == pts[(k + 1) % len(pts)]:
                 errors.append(f"component {ci}: repeated consecutive point at index {k}")
     return errors
 
 
-def _crossings(d: Diagram) -> tuple[list[str], list[_XC]]:
+def _crossings(d: Diagram) -> tuple[tuple[str, ...], tuple[_XC, ...]]:
     """The general-position violations of ``d`` and its crossings, with the
-    lower (component, segment) of each first."""
-    errors = _structural_errors(d)
-    if errors:
-        return errors, []
-    errors, crossings = _scan(d.components, d.n)
-    seen: set[Point] = set()
-    for xc in crossings:
-        if xc[0] in seen:
-            errors.append(f"three strands meet at {xc[0]}")
-        seen.add(xc[0])
-    return errors, crossings
+    lower (component, segment) of each first, in that order.  They depend
+    only on ``n`` and the components, so each diagram keeps them."""
+    if d._geometry is None:
+        errors = _structural_errors(d)
+        geometry = (errors, ()) if errors else _scan(d.components, d.n)
+        object.__setattr__(d, "_geometry", tuple(map(tuple, geometry)))
+    return d._geometry
 
 
 def validate(d: Diagram) -> list[str]:
-    """All general-position and attachment violations; [] means valid."""
-    return _validated(d)[0]
-
-
-def _validated(d: Diagram) -> tuple[list[str], list[_XC]]:
-    """The violations of ``validate`` and the crossings found on the way."""
+    """All general-position and attachment violations; [] means valid.  The
+    over/under entries are checked on every call: ``d.over`` is mutable."""
     errors, crossings = _crossings(d)
+    errors = list(errors)
     if errors:
-        return errors, crossings
+        return errors
     found = {(xc[1], xc[2]) for xc in crossings}
     declared = set(d.over)
     for key in sorted(declared - found):
@@ -309,7 +313,7 @@ def _validated(d: Diagram) -> tuple[list[str], list[_XC]]:
     for key, val in d.over.items():
         if val not in ("a", "b"):
             errors.append(f"over/under value for {key} must be 'a' or 'b'")
-    return errors, crossings
+    return errors
 
 
 def diagram_crossings(d: Diagram) -> list[tuple[CrossKey, Point]]:
@@ -329,26 +333,22 @@ def _ray_crossing(a: Point, b: Point, q: Point, d: Dir) -> int:
     """Signed crossing of segment a->b with the ray from q in direction d.
 
     +1 when the segment passes counterclockwise about q.  The ray must miss
-    every vertex, so a crossing is interior to the segment.
-    """
+    every vertex, so a crossing q + s d = a + u e is interior to the segment:
+    s = cross(w, e) / den > 0 and 0 < u = cross(w, d) / den < 1, by sign."""
     e = vsub(b, a)
     den = cross(d, e)
     if den == 0:
         return 0
     w = vsub(a, q)
-    s = cross(w, e) / den
-    u = cross(w, d) / den
-    if s > 0 and 0 < u < 1:
-        return 1 if den > 0 else -1
-    return 0
+    sign = 1 if den > 0 else -1
+    return sign if sign * cross(w, e) > 0 and 0 < sign * cross(w, d) < abs(den) else 0
 
 
 def _free_ray(q: Point, avoid: Sequence[Point]) -> Dir:
-    """A direction whose ray from q misses every point of ``avoid``."""
-    for k in count():
-        d = (k, 1)
-        if not any(cross(d, vsub(p, q)) == 0 and dot(d, vsub(p, q)) > 0 for p in avoid):
-            return d
+    """The first direction (k, 1), k >= 0, whose ray from q misses every point
+    p of ``avoid``: it meets p iff py > qy and k = (px - qx) / (py - qy)."""
+    blocked = {(p[0] - q[0]) / (p[1] - q[1]) for p in avoid if p[1] > q[1]}
+    return next((k, 1) for k in count() if k not in blocked)
 
 
 def _angle(r: Vec) -> Fraction:
@@ -408,7 +408,16 @@ class _State(NamedTuple):
     ends: tuple[tuple[tuple[int, int], ...], ...]
 
 
-def _skeleton(d: Diagram, crossings: list[_XC]) -> tuple[_Skeleton, _State]:
+def _marks(crossings: Sequence[_XC]) -> dict[tuple[int, int], list]:
+    """Per (component, segment), its crossings: (point, index) pairs."""
+    marks: dict[tuple[int, int], list[tuple[Point, int]]] = {}
+    for x, (point, key1, key2) in enumerate(crossings):
+        marks.setdefault(key1, []).append((point, x))
+        marks.setdefault(key2, []).append((point, x))
+    return marks
+
+
+def _skeleton(d: Diagram, crossings: Sequence[_XC]) -> tuple[_Skeleton, _State]:
     """Cut a valid diagram at its crossings into edges; the root state."""
     n = d.n
     avoid = [p for c in d.components for p in c.points]
@@ -417,10 +426,7 @@ def _skeleton(d: Diagram, crossings: list[_XC]) -> tuple[_Skeleton, _State]:
     sk = _Skeleton(n)
     dirs: list[Vec] = []  # the outward direction of each end
 
-    marks: dict[tuple[int, int], list[tuple[Point, int]]] = {}
-    for x, (point, key1, key2) in enumerate(crossings):
-        marks.setdefault(key1, []).append((point, x))
-        marks.setdefault(key2, []).append((point, x))
+    marks = _marks(crossings)
     at_crossing: list[list[tuple[int, tuple[int, int]]]] = [[] for _ in crossings]
     at_puncture: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     free_loops: list[tuple[int, int]] = []
@@ -616,10 +622,10 @@ def resolve_fully(d: Diagram, rng=None) -> list[WeightedState]:
             " (on the once-punctured sphere the loop around the puncture"
             " bounds a disk on its other side)"
         )
-    errors, crossings = _validated(d)
+    errors = validate(d)
     if errors:
         raise DiagramError(errors)
-    sk, root = _skeleton(d, crossings)
+    sk, root = _skeleton(d, _crossings(d)[1])
     todo = [root]
     out: list[WeightedState] = []
     while todo:
@@ -654,115 +660,122 @@ def evaluate(d: Diagram, rng=None) -> AlgElement:
 # stacking
 # ---------------------------------------------------------------------------
 
-_PERTURB_DIRS = ((1, 2), (2, -1), (-1, 2), (3, 1), (-2, -3))
-_PERTURB_SCALES = tuple(Fraction(1, 2**k) for k in range(4, 11))
 
-
-def _shift_heights(c: Component, shift: int) -> Component:
+def _split_ends(c: Component, s: int, marks) -> tuple[Component, int]:
+    """c, component s of its diagram, with each end segment that carries a
+    crossing (``marks`` from ``_marks``) split halfway from its puncture to
+    the nearest one, and the number of points put before segment 1.  A
+    crossing-free arc of one segment is split at its midpoint instead."""
     if c.closed:
-        return c
-    return Component(
-        c.points,
-        False,
-        Attachment(c.start.puncture, c.start.height + shift),
-        Attachment(c.end.puncture, c.end.height + shift),
-    )
+        return c, 0
+    pts, m = c.points, len(c.points) - 1
+
+    def cut(k: int, pivot: Point, far: Point) -> Point:
+        e = vsub(far, pivot)
+        u = min((dot(vsub(x, pivot), e) / dot(e, e) for x, _ in marks.get((s, k), ())), default=1)
+        return (pivot[0] + u * e[0] / 2, pivot[1] + u * e[1] / 2)
+
+    head = [cut(0, pts[0], pts[1])] if m == 1 or (s, 0) in marks else []
+    tail = [cut(m - 1, pts[-1], pts[-2])] if (s, m - 1) in marks else []
+    return Component((pts[0], *head, *pts[1:-1], *tail, pts[-1]), False, c.start, c.end), len(head)
 
 
-def _movable(c: Component) -> Component:
-    """c, with a midpoint if it is an arc of one segment, so that some vertex
-    of it can move while its ends stay at their punctures."""
-    if c.closed or len(c.points) > 2:
-        return c
-    a, b = c.points
-    return Component((a, ((a[0] + b[0]) / 2, (a[1] + b[1]) / 2), b), False, c.start, c.end)
-
-
-def _translate(c: Component, delta: tuple[Fraction, Fraction]) -> Component:
-    pts = list(c.points)
-    moved = []
-    for i, q in enumerate(pts):
-        pinned = not c.closed and (i == 0 or i == len(pts) - 1)
-        moved.append(q if pinned else vadd(q, delta))
-    return Component(tuple(moved), c.closed, c.start, c.end)
-
-
-def _in_hull(q: Point, corners: Sequence[Point]) -> bool:
-    """Is q in the closed convex hull of at most four corners?"""
-    for x, y in combinations(corners, 2):
-        if q in (x, y) or on_segment_interior(q, x, y):
-            return True
-    for x, y, z in combinations(corners, 3):
-        sides = [cross(vsub(v, u), vsub(q, u)) for u, v in ((x, y), (y, z), (z, x))]
-        if all(c > 0 for c in sides) or all(c < 0 for c in sides):
-            return True
-    return False
-
-
-def _sweeps_puncture(before: Sequence[Component], after: Sequence[Component], n: int) -> bool:
-    """Does moving each component from ``before`` to ``after`` sweep a puncture?
-
-    A translated segment sweeps a parallelogram, or a triangle when one end
-    stays at its puncture and the segment rotates about it; that puncture
-    itself does not count.
-    """
-    for c0, c1 in zip(before, after):
-        for k in range(c0.segment_count()):
-            a, b = c0.segment(k)
-            corners = list(dict.fromkeys((a, b) + c1.segment(k)))
-            for i in range(1, n + 1):
-                q = puncture_position(i)
-                if q not in (a, b) and _in_hull(q, corners):
-                    return True
-    return False
-
-
-def _try_stack(d1: Diagram, upper: tuple[Component, ...], d2: Diagram) -> Diagram | None:
-    """Layer ``upper``, a moved copy of d2, above d1 if general position
-    holds and d2's crossings map one-to-one onto upper's, else None.
-
-    Segment k of an upper component stands for segment k of its d2
-    component; both halves of an arc split by ``_movable`` stand for its
-    segment 0.  The crossings list the lower (component, segment) first, so
-    d1's strand comes first at a crossing between the layers, and a d2 pair
-    keeps its order and its label.
-    """
-    offset = len(d1.components)
-    comps = d1.components + upper
-    errors, crossings = _crossings(Diagram(d1.n, comps))
-    if errors:
-        return None
-    over: dict[CrossKey, str] = {}
-    of_d2: set[CrossKey] = set()
-    for _, (s1, k1), (s2, k2) in crossings:
-        key = ((s1, k1), (s2, k2))
-        if s2 < offset:
-            over[key] = d1.over[key]
-        elif s1 < offset:
-            over[key] = "b"  # the upper layer is over
-        else:
-            parent = tuple(
-                (s - offset, min(k, d2.components[s - offset].segment_count() - 1))
-                for s, k in ((s1, k1), (s2, k2))
-            )
-            if parent not in d2.over or parent in of_d2:
+def _scale(lines, points, v: Dir) -> Fraction | None:
+    """The largest 2^-k <= 1/16 below every t > 0 at which a point meets a
+    line as the moving points move by t * v, or None if a point stays on a
+    line for all t (other than the line's own ends).  A line (p, q) and a
+    point x meet where cross(q - p, x - p) = f0 + t * f1."""
+    t = Fraction(1, 16)
+    for p, mp, q, mq in lines:
+        e = vsub(q, p)
+        ev = cross(e, v)
+        for x, mx in points:
+            if mp == mq == mx:
+                continue
+            w = vsub(x, p)
+            f0, f1 = cross(e, w), (mq - mp) * cross(v, w) + (mx - mp) * ev
+            if f0 * f1 < 0:
+                while t >= -f0 / f1:
+                    t /= 2
+            elif f0 == f1 == 0 and (x, mx) != (p, mp) and (x, mx) != (q, mq):
                 return None
-            of_d2.add(parent)
-            over[key] = d2.over[parent]
-    if len(of_d2) != len(d2.over):
-        return None
-    return Diagram(d1.n, comps, over)
+    return t
+
+
+def _move(d1: Diagram, xc1, upper: Sequence[Component], xc2) -> tuple[Vec, tuple]:
+    """The move t * v of ``stack`` and the upper layer moved by it (all but
+    its puncture ends); v is the first of (1, 2), (2, -1), (1, 3), ... for
+    which ``_scale`` finds a t."""
+    punctures = {puncture_position(i) for i in range(1, d1.n + 1)}
+    lines, points = [], [(q, False) for q in punctures]
+    for comps, crossings, moving in ((d1.components, xc1, False), (upper, xc2, True)):
+        points += [(xc[0], moving) for xc in crossings]
+        for c in comps:
+            ends = [(x, moving and x not in punctures) for x in c.points]
+            points += ends
+            lines += [(*ends[k], *ends[(k + 1) % len(ends)]) for k in range(c.segment_count())]
+    candidates = (u for m in count(2) for u in ((1, m), (m, -1)))
+    t, v = next((t, v) for v in candidates if (t := _scale(lines, points, v)) is not None)
+    delta = (t * v[0], t * v[1])
+    moved = (tuple(x if x in punctures else vadd(x, delta) for x in c.points) for c in upper)
+    return delta, tuple(replace(c, points=pts) for c, pts in zip(upper, moved))
+
+
+def _try_stack(d1: Diagram, d2: Diagram, shifted: tuple[Component, ...]) -> Diagram:
+    """d1 with ``shifted`` (d2, heights shifted) above it: in place if the
+    pairs between the layers allow it, else moved by ``_move``.  Only new
+    pairs are scanned: d1 against the upper layer and, after a move, the
+    rotated end segments against the rest of it.  d1's crossings are
+    carried, and so are d2's, moved with their translated segments; the
+    upper layer may have no other.  The triple-point check covers the union."""
+    n, offset = d1.n, len(d1.components)
+    xc1, xc2 = _crossings(d1)[1], _crossings(d2)[1]
+
+    def union(upper, heads, delta, rotating):
+        over, carried = dict(d1.over), []
+        for x, (s1, k1), (s2, k2) in xc2:
+            key = ((s1 + offset, k1 + heads[s1]), (s2 + offset, k2 + heads[s2]))
+            carried.append((vadd(x, delta), *key))
+            over[key] = d2.over[(s1, k1), (s2, k2)]
+        group = lambda s, k: 1 if s < offset else 0 if (s, k) in rotating else 2
+        errors, found = _scan(d1.components + upper, n, group, xc1 + tuple(carried))
+        for x, k1, k2 in found:  # d1's strand is first at a crossing between the layers
+            if (k1, k2) not in over:
+                over[k1, k2] = "b"  # the upper layer is over
+                if k1[0] >= offset:
+                    errors.append(f"the upper layer gained a crossing at {x}")
+        return errors, Diagram(n, d1.components + upper, over), found
+
+    errors, product, found = union(shifted, [0] * len(shifted), (0, 0), ())
+    if errors:
+        marks = _marks(xc2)
+        split = [_split_ends(c, s, marks) for s, c in enumerate(shifted)]
+        delta, upper = _move(d1, xc1, [c for c, _ in split], xc2)
+        ends = [(s, len(c.points) - 2) for s, c in enumerate(upper, start=offset) if not c.closed]
+        rotating = {(s, k) for s, last in ends for k in (0, last)}
+        errors, product, found = union(upper, [h for _, h in split], delta, rotating)
+    if errors:
+        raise DiagramError(["stacking could not keep general position"] + errors[:4])
+    object.__setattr__(product, "_geometry", ((), tuple(found)))
+    return product
 
 
 def stack(d1: Diagram, d2: Diagram) -> Diagram:
     """The product diagram: d2 layered above d1.
 
     All endpoint heights of d2 are shifted above all of d1's, and at every
-    crossing between the two diagrams d2 is the over strand.  If the union
-    violates general position, every vertex of d2 but its puncture ends is
-    translated by a small rational vector found by search; an arc of one
-    segment first gets a midpoint to move.  A translation is rejected if it
-    sweeps a puncture or changes d2's own crossings.
+    crossing between the two diagrams d2 is the over strand.  The product
+    carries its crossings, so ``evaluate`` and the next ``stack`` do not
+    scan it.  If the pairs between the layers violate general position, d2
+    moves by t * v: all its vertices but the puncture ends are translated,
+    so its end segments rotate; one that carries a crossing is split first,
+    so that every crossing of d2 moves by t * v.  ``_scale`` takes t below
+    every t > 0 at which a vertex, crossing or puncture meets the line of a
+    segment, one of the two moving.  Each such condition is linear in t,
+    and v makes none of them hold for all t, so none holds on (0, t]: d2
+    sweeps no puncture and keeps its crossings, and the union has no
+    contact, overlap or triple point.  ``_try_stack`` checks the union, and
+    that the upper layer has no crossing but d2's.
     """
     if d1.n != d2.n:
         raise DiagramError(f"puncture counts differ: {d1.n} != {d2.n}")
@@ -773,25 +786,12 @@ def stack(d1: Diagram, d2: Diagram) -> Diagram:
     h1 = [a.height for c in d1.components if not c.closed for a in (c.start, c.end)]
     h2 = [a.height for c in d2.components if not c.closed for a in (c.start, c.end)]
     shift = (max(h1) + 1 - min(h2)) if h1 and h2 else 0
-    shifted = tuple(_shift_heights(c, shift) for c in d2.components)
-
-    direct = _try_stack(d1, shifted, d2)
-    if direct is not None:
-        return direct
-    movable = tuple(_movable(c) for c in shifted)
-    for dx, dy in _PERTURB_DIRS:
-        for scale in _PERTURB_SCALES:
-            delta = (scale * dx, scale * dy)
-            moved = tuple(_translate(c, delta) for c in movable)
-            if _sweeps_puncture(movable, moved, d1.n):
-                continue
-            result = _try_stack(d1, moved, d2)
-            if result is not None:
-                return result
-    witness, _ = _crossings(Diagram(d1.n, d1.components + shifted))
-    raise DiagramError(
-        ["stacking could not restore general position by perturbation"] + witness[:4]
+    shifted = tuple(
+        c if c.closed else replace(c, start=replace(c.start, height=c.start.height + shift),
+                                   end=replace(c.end, height=c.end.height + shift))
+        for c in d2.components
     )
+    return _try_stack(d1, d2, shifted)
 
 
 # ---------------------------------------------------------------------------

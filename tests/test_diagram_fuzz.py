@@ -89,3 +89,17 @@ def test_stack_is_the_product(d1, data):
         assume(False)
     assume(len(stacked.over) <= 6)
     assert evaluate(stacked) == nf(Surface(0, d1.n), evaluate(d1) * evaluate(d2))
+
+
+# A product carries the crossings that stack found; a rebuilt copy of it,
+# scanned afresh, must find the same ones and be valid.
+@settings(FUZZ, max_examples=25)
+@given(diagrams(ns=(2, 3), max_components=2, max_crossings=2), st.data())
+def test_stacked_crossings_are_a_fresh_scan(d1, data):
+    d2 = data.draw(diagrams(ns=(d1.n,), max_components=2, max_crossings=2))
+    d3 = data.draw(diagrams(ns=(d1.n,), max_components=2, max_crossings=2))
+    once = stack(d1, d2)
+    for product in (once, stack(once, d3)):
+        rebuilt = Diagram(product.n, product.components, dict(product.over))
+        assert diagram_crossings(rebuilt) == diagram_crossings(product)
+        assert validate(rebuilt) == []

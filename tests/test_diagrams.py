@@ -33,7 +33,7 @@ from arcalg import (
     v_power,
     validate,
 )
-from arcalg.diagrams import _join, _skeleton, _smooth, _validated
+from arcalg.diagrams import _crossings, _join, _skeleton, _smooth
 from arcalg.presentations import GENS_A3, GEN_A
 from arcalg.ring import LaurentPoly, Monomial
 
@@ -172,9 +172,8 @@ def test_kink_resolution_tree_size():
 
 def _root(d):
     """The skeleton and root state of the resolution tree of ``d``."""
-    errors, crossings = _validated(d)
-    assert errors == []
-    return _skeleton(d, crossings)
+    assert validate(d) == []
+    return _skeleton(d, _crossings(d)[1])
 
 
 def _state_coefficient(n, st):
@@ -392,6 +391,54 @@ def test_engine_triple_product():
         generator_diagram(s3, A3),
     )
     assert evaluate(d) == nf(s3, AlgElement.from_word((A1, A2, A3), 3))
+
+
+def test_stack_work_gate(monkeypatch):
+    # The stacked products of the diagram_products benchmark: every stack is
+    # one _try_stack, and a product carries its crossings into evaluate.
+    import arcalg.diagrams as engine
+
+    calls = Counter()
+    for name in ("_try_stack", "_scan"):
+        def counted(*args, _name=name, _call=getattr(engine, name), **kwargs):
+            calls[_name] += 1
+            return _call(*args, **kwargs)
+
+        monkeypatch.setattr(engine, name, counted)
+    s2, s3 = Surface(0, 2), Surface(0, 3)
+    layer = {g: generator_diagram(s3, g) for g in GENS_A3}
+    a = generator_diagram(s2, GEN_A)
+    words = [(layer[x], layer[y]) for x in GENS_A3 for y in GENS_A3]
+    words += [tuple(layer[g] for g in (A1, A2, A3, A1)), (a, a), (a, a, a)]
+    stacks = 0
+    for word in words:
+        d = word[0]
+        for upper in word[1:]:
+            d = stack(d, upper)
+            stacks += 1
+        scans = calls["_scan"]
+        evaluate(d)
+        assert calls["_scan"] == scans, "evaluate scanned a stacked product"
+    assert stacks == calls["_try_stack"] == 15
+    # one scan per generator diagram, one per stack for the pairs between
+    # the layers, and one more for each of the 7 stacks that move d2
+    assert calls["_scan"] == 4 + 15 + 7
+
+
+def test_stack_memo_covers_geometry_only():
+    # The product carries its crossings, but its over/under entries are
+    # checked against them on every call.
+    d = generator_diagram(Surface(0, 3), A1)
+    s = stack(d, d)
+    (key,) = s.over
+    s.over[key] = "x"
+    assert validate(s) == [f"over/under value for {key} must be 'a' or 'b'"]
+    with pytest.raises(DiagramError):
+        evaluate(s)
+    del s.over[key]
+    assert validate(s) == [f"crossing {key} has no over/under entry"]
+    with pytest.raises(DiagramError):
+        evaluate(s)
 
 
 def test_two_puncture_loop_oracle_equivalence():
