@@ -58,7 +58,8 @@ def main():
     print("== inside the resolution tree ==")
     stacked = stack(generator_diagram(s3, GENS_A3[0]), generator_diagram(s3, GENS_A3[1]))
     states = resolve_fully(stacked)
-    print(f"a1 * a2 resolves into {len(states)} terminal states (loops already scalars):")
+    print(f"a1 * a2 resolves into {len(states)} merged terminal state(s), one per word"
+          " (loops already scalars):")
     for ws in states:
         word = "*".join(str(g) for g in ws.word) or "1"
         print(f"  coefficient {ws.coefficient}; word {word}")

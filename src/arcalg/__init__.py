@@ -61,6 +61,7 @@ from .diagrams import (
     Component,
     Diagram,
     DiagramError,
+    EvaluationBudgetExceeded,
     WeightedState,
     arc_diagram,
     diagram_crossings,

@@ -41,7 +41,12 @@ loop around the puncture is isotopic through infinity to a loop beside it,
 while the two relations give them different values, so n = 1 is rejected.
 
 The pair (puncture-end count, crossing count) decreases lexicographically
-at every step, so resolution terminates.
+at every step, so resolution terminates.  It runs in that order, one
+frontier step per measure: the states of a step are merged by their key
+(pending crossings, puncture ends, open paths with their ray counts) before
+any is expanded, and a merged state's coefficient counts its branches by
+their power of A^(1/2) and their loops.  So the work follows the distinct
+states, not the branches, as in Bar-Natan's divide and conquer.
 """
 
 from __future__ import annotations
@@ -55,41 +60,15 @@ from typing import Mapping, NamedTuple, Sequence
 
 from . import presentations, ring
 from .freealg import AlgElement, Generator, Word
-from .geometry import (
-    Dir,
-    Point,
-    Vec,
-    cross,
-    dot,
-    on_segment_interior,
-    segment_hit,
-    vadd,
-    vsub,
-    winding_number,  # unused here; kept as the attribute that bench/tracing.py wraps
-)
+from .geometry import Dir, Point, Vec, cross, dot, on_segment_interior, segment_hit, vadd, vsub
+from .geometry import winding_number  # noqa: F401  (unused here; the attribute bench/tracing.py wraps)
 from .ring import LaurentPoly, Monomial
 
 __all__ = [
-    "DiagramError",
-    "Attachment",
-    "Component",
-    "Diagram",
-    "WeightedState",
-    "CrossKey",
-    "puncture_position",
-    "validate",
-    "diagram_crossings",
-    "evaluate",
-    "resolve_fully",
-    "stack",
-    "empty_diagram",
-    "arc_diagram",
-    "generator_diagram",
-    "loop_component",
-    "diagram_to_dict",
-    "diagram_from_dict",
-    "dumps_diagram",
-    "loads_diagram",
+    "DiagramError", "EvaluationBudgetExceeded", "STATE_BUDGET", "Attachment", "Component", "Diagram",
+    "WeightedState", "CrossKey", "puncture_position", "validate", "diagram_crossings", "evaluate",
+    "resolve_fully", "stack", "empty_diagram", "arc_diagram", "generator_diagram", "loop_component",
+    "diagram_to_dict", "diagram_from_dict", "dumps_diagram", "loads_diagram",
 ]
 
 
@@ -146,9 +125,9 @@ class Diagram:
 
 @dataclass(frozen=True)
 class WeightedState:
-    """A terminal state of the resolution tree: an exact coefficient times
-    the word of its arcs, ordered by height.  Its loops are scalars already
-    folded into the coefficient."""
+    """A terminal state of the merged resolution: the word of its arcs,
+    ordered by height, and its coefficient summed over every branch that
+    ends in that word, with the loops folded in as scalars."""
 
     coefficient: LaurentPoly
     word: Word
@@ -334,7 +313,10 @@ def _ray_crossing(a: Point, b: Point, q: Point, d: Dir) -> int:
 
     +1 when the segment passes counterclockwise about q.  The ray must miss
     every vertex, so a crossing q + s d = a + u e is interior to the segment:
-    s = cross(w, e) / den > 0 and 0 < u = cross(w, d) / den < 1, by sign."""
+    s = cross(w, e) / den > 0 and 0 < u = cross(w, d) / den < 1, by sign.
+    A ray (k, 1), k >= 0, misses a segment wholly below q's level or left of q."""
+    if a[1] <= q[1] and b[1] <= q[1] or a[0] < q[0] and b[0] < q[0]:
+        return 0
     e = vsub(b, a)
     den = cross(d, e)
     if den == 0:
@@ -370,8 +352,7 @@ class _Skeleton:
     from e, with the ray from puncture q, and ``at[e]`` the (puncture,
     height) of a puncture end.  ``smoothings[x]`` holds the A-pairing and
     the B-pairing of crossing x.  All entries are integers and are only
-    ever appended, so the branches of the resolution tree share one
-    skeleton.
+    ever appended, so all states of the resolution share one skeleton.
     """
 
     def __init__(self, n: int):
@@ -390,7 +371,8 @@ class _Skeleton:
 
 
 class _State(NamedTuple):
-    """A node of the resolution tree.
+    """A state of the resolution: one branch, or in ``_frontiers`` a merged
+    state whose own half_a and loops are 0.
 
     The coefficient is A^(half_a/2) v^vexp times one scalar per closed
     loop; ``loops`` counts the loops around no puncture and around one.
@@ -485,14 +467,8 @@ def _skeleton(d: Diagram, crossings: Sequence[_XC]) -> tuple[_Skeleton, _State]:
             sk.slot[e] = k
         sk.ray_slot.append(sk.slot.pop(-1))  # -1 stood for the ray
         sk.slots.append(len(order))
-    root = _State(
-        half_a=0,
-        vexp=(0,) * n,
-        loops=(0, 0),
-        paths={},
-        pending=tuple(range(len(crossings))),
-        ends=tuple(tuple(sorted(ends)) for ends in at_puncture),
-    )
+    ends = tuple(tuple(sorted(ends)) for ends in at_puncture)
+    root = _State(0, (0,) * n, (0, 0), {}, tuple(range(len(crossings))), ends)
     loops, paths = _link(sk, root, free_loops)
     return sk, root._replace(loops=loops, paths=paths)
 
@@ -582,39 +558,77 @@ _ARC_GENS: dict[presentations.Surface, dict[tuple[int, int], Generator]] = {
 }
 
 
-def _terminal(sk: _Skeleton, st: _State) -> WeightedState:
-    """The weighted word of a terminal state: each open path is an arc, and
-    the arcs are ordered by the lower height of their two ends; each
-    counted loop multiplies the coefficient by its scalar."""
-    n = sk.n
+def _word(sk: _Skeleton, st: _State) -> Word:
+    """The word of a terminal state: each open path is an arc, and the arcs
+    are ordered by the lower height of their two ends."""
     arcs = []
     for at_p in st.ends:
         for _, e in at_p:
             (p, h), (q, g) = sk.at[e], sk.at[st.paths[e][0] if e in st.paths else e ^ 1]
             if p < q:
                 arcs.append((min(h, g), (p, q)))
-    coeff = LaurentPoly(n, {Monomial(st.half_a, st.vexp): 1})
-    for scalar, k in zip((ring.loop_scalar, ring.puncture_loop_scalar), st.loops):
-        for _ in range(k):
-            coeff = coeff * scalar(n)
-    word = tuple(_ARC_GENS[0, n][ij] for _, ij in sorted(arcs))
-    return WeightedState(coeff, word)
+    return tuple(_ARC_GENS[0, sk.n][ij] for _, ij in sorted(arcs))
 
 
-def _pick(st: _State, rng) -> tuple[int, int] | None:
-    """The (puncture, index) of the next pair to join: lowest first, or random."""
-    options = [(p, i) for p, at_p in enumerate(st.ends, start=1) for i in range(len(at_p) - 1)]
-    if not options:
-        return None
-    return options[0] if rng is None else options[rng.randrange(len(options))]
+# The most merged states that one frontier step may hold.
+STATE_BUDGET = 20_000
+
+# A merged coefficient maps half_a + (loops[0] + loops[1] * _W) * _W + _W // 2
+# to the number of branches with those exponents (vexp follows from the key's
+# ends); a branch takes far fewer than 2^30 steps, so every field fits.
+_W = 1 << 32
+
+
+class EvaluationBudgetExceeded(DiagramError):
+    """A frontier step of the merged resolution exceeds ``STATE_BUDGET``."""
+
+
+def _frontiers(sk: _Skeleton, root: _State, rng=None):
+    """The merged resolution, one step per termination measure: a dict from
+    merge key (pending, ends, paths) to (state, coefficient); with no
+    crossing pending, ends are keyed by (puncture, height, slot), not by id.
+    Each key is expanded once, smoothing its last pending crossing or else
+    joining the lowest (or, with ``rng``, a random) adjacent pair; its
+    children's coefficients are its own shifted by what they gathered."""
+    measure = lambda st: (sum(map(len, st.ends)), len(st.pending))
+    pack = lambda st: st.half_a + (st.loops[0] + st.loops[1] * _W) * _W
+    merged_root = root._replace(half_a=0, loops=(0, 0)), {pack(root) + _W // 2: 1}
+    levels = {measure(root): {None: merged_root}}  # the root is alone in its step
+    while levels:
+        frontier = levels.pop(max(levels))
+        if len(frontier) > STATE_BUDGET:
+            raise EvaluationBudgetExceeded(f"evaluation budget exceeded: more than STATE_BUDGET = {STATE_BUDGET}"
+                                           " merged states in one frontier step")
+        yield frontier
+        for st, coeff in frontier.values():
+            if st.pending:
+                children = _smooth(sk, st, +1), _smooth(sk, st, -1)
+            elif options := [(p, i) for p, at in enumerate(st.ends, start=1) for i in range(len(at) - 1)]:
+                p, i = options[0] if rng is None else options[rng.randrange(len(options))]
+                children = _join(sk, st, p, i, +1), _join(sk, st, p, i, -1)
+            else:
+                continue
+            for child in children:
+                shift, step = pack(child), levels.setdefault(measure(child), {})
+                if child.pending:
+                    key = child.pending, child.ends, frozenset(child.paths.items())
+                else:  # open ends are puncture ends; equal (height, slot) act alike
+                    far = lambda e: child.paths.get(e) or (e ^ 1, sk.count[e])
+                    key = tuple(
+                        tuple((h, sk.slot[e], sk.at[f], c) for h, e in at for f, c in [far(e)]) for at in child.ends
+                    )
+                merged = step.setdefault(key, (child._replace(half_a=0, loops=(0, 0)), {}))[1]
+                for k, c in coeff.items():
+                    merged[k + shift] = merged.get(k + shift, 0) + c
 
 
 def resolve_fully(d: Diagram, rng=None) -> list[WeightedState]:
-    """The terminal states of the resolution tree, one weighted word each.
+    """The terminal states of the merged resolution, one per distinct word,
+    each with its coefficient summed over every branch that ends in it.
 
     With ``rng`` given, admissible puncture pairs are chosen at random
-    instead of lowest-first; the sum of the states must not depend on the
-    choice.
+    instead of lowest-first, once per merged state; the sum must not depend
+    on the choice.
     """
     if d.n == 1 or d.n > 3:
         raise DiagramError(
@@ -626,30 +640,24 @@ def resolve_fully(d: Diagram, rng=None) -> list[WeightedState]:
     if errors:
         raise DiagramError(errors)
     sk, root = _skeleton(d, _crossings(d)[1])
-    todo = [root]
-    out: list[WeightedState] = []
-    while todo:
-        st = todo.pop()
-        if st.pending:
-            todo.append(_smooth(sk, st, +1))
-            todo.append(_smooth(sk, st, -1))
-            continue
-        pick = _pick(st, rng)
-        if pick is not None:
-            p, i = pick
-            todo.append(_join(sk, st, p, i, +1))
-            todo.append(_join(sk, st, p, i, -1))
-            continue
-        out.append(_terminal(sk, st))
-    return out
+    terms: dict[Word, dict[int, list]] = {}  # word -> packed loops -> terms
+    for frontier in _frontiers(sk, root, rng):
+        for st, coeff in frontier.values():
+            if not st.pending and all(len(at_p) < 2 for at_p in st.ends):
+                by_loops = terms.setdefault(_word(sk, st), {})
+                for k, c in coeff.items():
+                    by_loops.setdefault(k // _W, []).append((Monomial(k % _W - _W // 2, st.vexp), c))
+    n, powers = d.n, {}  # l0 + l1 * _W -> loop_scalar^l0 * puncture_loop_scalar^l1
+    loop, puncture_loop = ring.loop_scalar(n), ring.puncture_loop_scalar(n)
+    for loops in {loops for by_loops in terms.values() for loops in by_loops}:
+        powers[loops] = loop ** (loops % _W) * puncture_loop ** (loops // _W)
+    value = lambda by_loops: sum((LaurentPoly(n, t) * powers[l] for l, t in by_loops.items()), ring.zero(n))
+    return [WeightedState(value(by_loops), word) for word, by_loops in terms.items()]
 
 
 def evaluate(d: Diagram, rng=None) -> AlgElement:
-    """Resolve a diagram to its element of the presented algebra.
-
-    With ``rng`` given, admissible puncture pairs are chosen at random
-    instead of lowest-first; the result must not depend on the choice.
-    """
+    """Resolve a diagram to its element of the presented algebra (``rng`` as
+    in ``resolve_fully``: the result must not depend on it)."""
     total = AlgElement(d.n, ((ws.word, ws.coefficient) for ws in resolve_fully(d, rng)))
     if d.n >= 2:
         total = presentations.nf(presentations.Surface(0, d.n), total)

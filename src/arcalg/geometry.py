@@ -14,16 +14,7 @@ Vec = tuple[Fraction, Fraction]
 Dir = tuple[int, int]
 
 __all__ = [
-    "Point",
-    "Vec",
-    "Dir",
-    "vsub",
-    "vadd",
-    "cross",
-    "dot",
-    "SegHit",
-    "segment_hit",
-    "on_segment_interior",
+    "Point", "Vec", "Dir", "vsub", "vadd", "cross", "dot", "SegHit", "segment_hit", "on_segment_interior",
     "winding_number",
 ]
 

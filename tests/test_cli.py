@@ -222,6 +222,16 @@ def test_eval_diagram_hostile_documents(tmp_path, capsys):
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_eval_diagram_state_budget(monkeypatch, capsys):
+    import arcalg.diagrams
+
+    monkeypatch.setattr(arcalg.diagrams, "STATE_BUDGET", 8)
+    path = os.path.join(os.path.dirname(__file__), "..", "demos", "product_a1a2a3a1a2a3.json")
+    code, out, err = run(capsys, "eval-diagram", path)
+    assert (code, out) == (2, "")
+    assert err == "error: evaluation budget exceeded: more than STATE_BUDGET = 8 merged states in one frontier step\n"
+
+
 def test_eval_diagram_invalid_content(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text('{"n": 2, "components": [{"closed": false, "points": [["1","0"]]}]}')

@@ -3,6 +3,8 @@
 import random
 from collections import Counter
 from fractions import Fraction as F
+from functools import reduce
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +15,7 @@ from arcalg import (
     Diagram,
     DiagramError,
     Surface,
+    WeightedState,
     a_half_power,
     a_power,
     arc_diagram,
@@ -29,12 +32,14 @@ from arcalg import (
     nf,
     puncture_loop_scalar,
     resolve_fully,
+    rho,
+    rho_element,
     stack,
     v_power,
     validate,
 )
 from arcalg.diagrams import _crossings, _join, _skeleton, _smooth
-from arcalg.presentations import GENS_A3, GEN_A
+from arcalg.presentations import GENS_A3, GEN_A, mat_mul
 from arcalg.ring import LaurentPoly, Monomial
 
 A1, A2, A3 = GENS_A3
@@ -167,7 +172,12 @@ def test_kink_resolution_tree_size():
     p = pts((0, 0), (4, 0), (4, 2), (2, 2), (2, -1), (0, -1))
     comp = Component(p, True)
     key = diagram_crossings(Diagram(0, (comp,), {}))[0][0]
-    assert len(resolve_fully(Diagram(0, (comp,), {key: "a"}))) == 2
+    # the two smoothings leave one loop (A) and two loops (A^-1); both
+    # branches end in the empty word, so they merge into one state
+    loop = loop_scalar(0)
+    assert resolve_fully(Diagram(0, (comp,), {key: "a"})) == [
+        WeightedState(a_power(1, 0) * loop + a_power(-1, 0) * loop * loop, ())
+    ]
 
 
 def _root(d):
@@ -217,11 +227,11 @@ def test_r2_pair_full_resolution():
     keys = [k for k, _ in diagram_crossings(d0)]
     d = Diagram(0, (l1, l2), {k: "b" for k in keys})
     # A^(+-1) per smoothing; two states close up the small loop of the clasp
+    # (the four branches end in the empty word and merge into one state)
     loop = loop_scalar(0)
-    coefficients = [ws.coefficient for ws in resolve_fully(d)]
-    assert Counter(coefficients) == Counter(
-        [a_power(2, 0) * loop, a_power(-2, 0) * loop, loop * loop, loop * loop]
-    )
+    assert resolve_fully(d) == [
+        WeightedState(a_power(2, 0) * loop + a_power(-2, 0) * loop + loop * loop + loop * loop, ())
+    ]
     uncrossed = Diagram(0, (loop_component(0, 1), loop_component(2, 3)), {})
     assert evaluate(d) == evaluate(uncrossed)
 
@@ -246,17 +256,16 @@ def test_alpha_squared_tree_size():
     c1 = tent(2, 1, 2, 0, apex=1)
     c2 = tent(2, 1, 2, 1, apex=2)
     d = Diagram(2, (c1, c2), {})
-    # v_i^-1 A^(+-1/2) per join; equal signs leave a loop around one puncture
+    # v_i^-1 A^(+-1/2) per join; equal signs leave a loop around one
+    # puncture; the four branches end in the empty word and merge
     v = v_power(1, 2, -1) * v_power(2, 2, -1)
-    coefficients = [ws.coefficient for ws in resolve_fully(d)]
-    assert Counter(coefficients) == Counter(
-        [
-            v * a_half_power(2, 2) * puncture_loop_scalar(2),
-            v * loop_scalar(2),
-            v * loop_scalar(2),
-            v * a_half_power(-2, 2) * puncture_loop_scalar(2),
-        ]
-    )
+    branches = [
+        v * a_half_power(2, 2) * puncture_loop_scalar(2),
+        v * loop_scalar(2),
+        v * loop_scalar(2),
+        v * a_half_power(-2, 2) * puncture_loop_scalar(2),
+    ]
+    assert resolve_fully(d) == [WeightedState(sum(branches[1:], branches[0]), ())]
 
 
 # ---------------------------------------------------------------------------
@@ -391,6 +400,49 @@ def test_engine_triple_product():
         generator_diagram(s3, A3),
     )
     assert evaluate(d) == nf(s3, AlgElement.from_word((A1, A2, A3), 3))
+
+
+# Products of 6,400 (a^4), 9,216 and 655,360 branches: only merged states
+# make them fast enough for this suite.
+@pytest.mark.parametrize(
+    "punctures, word",
+    [(2, (GEN_A,) * 4), (3, (A1, A2, A3, A1, A2)), (3, (A1, A2, A3, A1, A2, A3))],
+)
+def test_long_products_match_the_presentation(punctures, word):
+    surface = Surface(0, punctures)
+    value = evaluate(reduce(stack, [generator_diagram(surface, g) for g in word]))
+    assert value == nf(surface, AlgElement.from_word(word, punctures))
+    if punctures == 3:
+        assert rho_element(value) == reduce(mat_mul, map(rho, word))
+
+
+def test_merged_frontier_work_gate():
+    # a1 a2 a3 a1 a2 has 9216 branches, all ending in one word; the work
+    # follows the distinct states per frontier step.
+    import arcalg.diagrams as engine
+
+    d = reduce(stack, [generator_diagram(Surface(0, 3), g) for g in (A1, A2, A3, A1, A2)])
+    widths = [len(step) for step in engine._frontiers(*_root(d))]
+    assert widths == [1, 2, 4, 8, 16, 32, 40, 36, 36, 50, 50, 67, 134, 78, 26]
+    assert len(resolve_fully(d)) == 1
+
+
+def test_state_budget_stops_evaluation_early(monkeypatch):
+    import arcalg.diagrams as engine
+
+    d = loads_diagram((Path(__file__).parent.parent / "demos" / "product_a1a2a3a1a2a3.json").read_text())
+    smoothings = Counter()
+
+    def counted(*args, _smooth=engine._smooth):
+        smoothings["calls"] += 1
+        return _smooth(*args)
+
+    monkeypatch.setattr(engine, "_smooth", counted)
+    monkeypatch.setattr(engine, "STATE_BUDGET", 8)
+    with pytest.raises(engine.EvaluationBudgetExceeded, match="STATE_BUDGET = 8 merged states"):
+        evaluate(d)
+    # steps of 1, 2, 4 and 8 states are expanded; the next one has 10
+    assert smoothings["calls"] == 2 * (1 + 2 + 4 + 8)
 
 
 def test_stack_work_gate(monkeypatch):

@@ -16,6 +16,7 @@ from arcalg.cli import main
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
 SAMPLE = str(ROOT / "demos" / "sample_diagram.json")
+PRODUCT6 = str(ROOT / "demos" / "product_a1a2a3a1a2a3.json")  # stacked a1 a2 a3 a1 a2 a3
 BOUNDARY = "A*g1*g2*g3 - A^2*g1^2 - A^-2*g2^2 - A^2*g3^2 + A^2 + A^-2"
 
 COMMANDS = {
@@ -37,6 +38,7 @@ COMMANDS = {
     "rep-check.txt": (["rep-check"], 0),
     "eval-diagram.txt": (["eval-diagram", SAMPLE], 0),
     "eval-diagram.json": (["eval-diagram", SAMPLE, "--json"], 0),
+    "eval-diagram-a1a2a3a1a2a3.txt": (["eval-diagram", PRODUCT6], 0),
     "normalize-0-3-a1a2.txt": (["normalize", "--surface", "0,3", "a1*a2"], 0),
     "normalize-1-1-boundary.txt": (["normalize", "--surface", "1,1", BOUNDARY], 0),
     "normalize-1-1-g2g1.txt": (["normalize", "--surface", "1,1", "g2^6*g1^6"], 0),
