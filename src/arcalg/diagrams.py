@@ -11,13 +11,14 @@ points, no crossings at punctures) is enforced exactly.
 The evaluator is Kauffman's state model, extended by the puncture-skein and
 puncture-framing relations of the arc algebra.  Exact geometry runs once
 per diagram, which keeps its crossings (``stack`` gets its product's from
-its factors); the components are cut at them into edges, each
-crossing gets its A- and B-pairing from the directions of its four edge
-ends, the ends at each puncture and one fixed ray from it are put in
-counterclockwise order (their slots), and each edge gets its signed
-crossing count with every puncture's ray.  Resolution after that reads
-only slots and integer counts; it pairs ends, which joins two open paths
-or closes a curve, and adds the ray counts along each path:
+its factors); the components are cut at them into edges, each crossing
+gets its A- and B-pairing from the directions of its four edge ends, the
+ends at each puncture and its ray are put in counterclockwise order (their
+slots), and each edge gets its signed crossing count with every puncture's
+ray.  Every diagram has the same rays: straight up, turned clockwise by
+less than any of its angles, so a point on a ray counts once.  Resolution
+after that reads only slots and integer counts; it pairs ends, which joins
+two open paths or closes a curve, and adds the ray counts along each path:
 
 * a crossing is resolved into its two smoothings with coefficients A and
   A^-1 (the A-smoothing opens the two regions swept by rotating the over
@@ -44,14 +45,17 @@ The pair (puncture-end count, crossing count) decreases lexicographically
 at every step, so resolution terminates.  It runs in that order, one
 frontier step per measure: the states of a step are merged by their key
 (pending crossings, puncture ends, open paths with their ray counts) before
-any is expanded, and a merged state's coefficient counts its branches by
-their power of A^(1/2) and their loops.  So the work follows the distinct
-states, not the branches, as in Bar-Natan's divide and conquer.
+any is expanded.  A state is its key and carries no coefficient; the
+merged coefficient beside it counts its branches by their power of A^(1/2)
+and their loops.  So the work follows the distinct states, not the
+branches, as in Bar-Natan's divide and conquer.
 """
 
 from __future__ import annotations
 
 import json
+import re
+import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import count
@@ -308,29 +312,17 @@ def diagram_crossings(d: Diagram) -> list[tuple[CrossKey, Point]]:
 # ---------------------------------------------------------------------------
 
 
-def _ray_crossing(a: Point, b: Point, q: Point, d: Dir) -> int:
-    """Signed crossing of segment a->b with the ray from q in direction d.
+def _ray_crossing(a: Point, b: Point, q: Point) -> int:
+    """Signed crossing of segment a->b with the ray from q, +1 counterclockwise.
 
-    +1 when the segment passes counterclockwise about q.  The ray must miss
-    every vertex, so a crossing q + s d = a + u e is interior to the segment:
-    s = cross(w, e) / den > 0 and 0 < u = cross(w, d) / den < 1, by sign.
-    A ray (k, 1), k >= 0, misses a segment wholly below q's level or left of q."""
-    if a[1] <= q[1] and b[1] <= q[1] or a[0] < q[0] and b[0] < q[0]:
+    The ray goes straight up from q, turned clockwise by less than any angle
+    of the diagram: a point on the line x = q.x lies left of it.  A segment
+    crosses it iff one end lies left and cross(b - a, q - a) says it passes
+    above q: a vertex on it counts once, and a segment from or to q never."""
+    if (a[0] <= q[0]) == (b[0] <= q[0]):
         return 0
-    e = vsub(b, a)
-    den = cross(d, e)
-    if den == 0:
-        return 0
-    w = vsub(a, q)
-    sign = 1 if den > 0 else -1
-    return sign if sign * cross(w, e) > 0 and 0 < sign * cross(w, d) < abs(den) else 0
-
-
-def _free_ray(q: Point, avoid: Sequence[Point]) -> Dir:
-    """The first direction (k, 1), k >= 0, whose ray from q misses every point
-    p of ``avoid``: it meets p iff py > qy and k = (px - qx) / (py - qy)."""
-    blocked = {(p[0] - q[0]) / (p[1] - q[1]) for p in avoid if p[1] > q[1]}
-    return next((k, 1) for k in count() if k not in blocked)
+    s = 1 if b[0] <= q[0] else -1
+    return s if s * cross(vsub(b, a), vsub(q, a)) > 0 else 0
 
 
 def _angle(r: Vec) -> Fraction:
@@ -345,9 +337,10 @@ class _Skeleton:
     """The edge ends of one diagram and of every piece its resolution adds.
 
     Ends are integers and an edge is a pair of ends (e, e ^ 1).  The cyclic
-    order at each puncture p is fixed once: its ends and its ray take the
-    slots 0 .. ``slots[p - 1]`` - 1 counterclockwise, ``slot[e]`` is the
-    slot of end e and ``ray_slot[p - 1]`` that of the ray.  Per end,
+    order at each puncture p is fixed once: its ends and its fixed ray (see
+    ``_ray_crossing``; it comes just before an end that points straight up)
+    take the slots 0 .. ``slots[p - 1]`` - 1 counterclockwise, ``slot[e]``
+    is the slot of end e and ``ray_slot[p - 1]`` that of the ray.  Per end,
     ``count[e][q - 1]`` is the signed crossing count of the edge, traversed
     from e, with the ray from puncture q, and ``at[e]`` the (puncture,
     height) of a puncture end.  ``smoothings[x]`` holds the A-pairing and
@@ -371,20 +364,15 @@ class _Skeleton:
 
 
 class _State(NamedTuple):
-    """A state of the resolution: one branch, or in ``_frontiers`` a merged
-    state whose own half_a and loops are 0.
+    """A state of the resolution, which is also its merge key: it carries no
+    coefficient, as the steps that make it return their packed exponents.
 
-    The coefficient is A^(half_a/2) v^vexp times one scalar per closed
-    loop; ``loops`` counts the loops around no puncture and around one.
     ``paths`` maps an open end of a grown curve to (far end, ray counts from
     the end); any other open end e has only its edge, (e ^ 1, count[e]).
     ``pending`` holds the crossings still to smooth, and ``ends[p - 1]``
     the (height, end) pairs at puncture p, sorted by height.
     """
 
-    half_a: int
-    vexp: tuple[int, ...]
-    loops: tuple[int, int]
     paths: dict[int, tuple[int, tuple[int, ...]]]
     pending: tuple[int, ...]
     ends: tuple[tuple[tuple[int, int], ...], ...]
@@ -399,12 +387,10 @@ def _marks(crossings: Sequence[_XC]) -> dict[tuple[int, int], list]:
     return marks
 
 
-def _skeleton(d: Diagram, crossings: Sequence[_XC]) -> tuple[_Skeleton, _State]:
-    """Cut a valid diagram at its crossings into edges; the root state."""
+def _skeleton(d: Diagram, crossings: Sequence[_XC]) -> tuple[_Skeleton, _State, int]:
+    """Cut a valid diagram at its crossings into edges: (skeleton, root state, packed free loops)."""
     n = d.n
-    avoid = [p for c in d.components for p in c.points]
-    avoid += [xc[0] for xc in crossings] + [puncture_position(i) for i in range(1, n + 1)]
-    rays = [_free_ray(puncture_position(q), avoid) for q in range(1, n + 1)]
+    punctures = [puncture_position(q) for q in range(1, n + 1)]
     sk = _Skeleton(n)
     dirs: list[Vec] = []  # the outward direction of each end
 
@@ -415,10 +401,7 @@ def _skeleton(d: Diagram, crossings: Sequence[_XC]) -> tuple[_Skeleton, _State]:
 
     def add_edge(run) -> int:
         pts = [point for point, _, _ in run]
-        counts = [
-            sum(_ray_crossing(a, b, puncture_position(q), rays[q - 1]) for a, b in zip(pts, pts[1:]))
-            for q in range(1, n + 1)
-        ]
+        counts = [sum(_ray_crossing(a, b, q) for a, b in zip(pts, pts[1:])) for q in punctures]
         e = sk.edge(counts)
         dirs.extend((vsub(pts[1], pts[0]), vsub(pts[-2], pts[-1])))
         for end, (_, x, key) in ((e, run[0]), (e ^ 1, run[-1])):
@@ -461,16 +444,15 @@ def _skeleton(d: Diagram, crossings: Sequence[_XC]) -> tuple[_Skeleton, _State]:
                 if o_key == over_key != u_key:
                     (a_pairs if cross(dirs[o], dirs[u]) < 0 else b_pairs).append((o, u))
         sk.smoothings.append((tuple(a_pairs), tuple(b_pairs)))
-    for p, at_p in enumerate(at_puncture, start=1):
-        order = sorted([(_angle(rays[p - 1]), -1)] + [(_angle(dirs[e]), e) for _, e in at_p])
+    for at_p in at_puncture:
+        order = sorted([(_angle((0, 1)), -1)] + [(_angle(dirs[e]), e) for _, e in at_p])
         for k, (_, e) in enumerate(order):
             sk.slot[e] = k
         sk.ray_slot.append(sk.slot.pop(-1))  # -1 stood for the ray
         sk.slots.append(len(order))
     ends = tuple(tuple(sorted(ends)) for ends in at_puncture)
-    root = _State(0, (0,) * n, (0, 0), {}, tuple(range(len(crossings))), ends)
-    loops, paths = _link(sk, root, free_loops)
-    return sk, root._replace(loops=loops, paths=paths)
+    shift, paths = _link(sk, {}, free_loops)
+    return sk, _State(paths, tuple(range(len(crossings))), ends), shift
 
 
 # ---------------------------------------------------------------------------
@@ -478,35 +460,36 @@ def _skeleton(d: Diagram, crossings: Sequence[_XC]) -> tuple[_Skeleton, _State]:
 # ---------------------------------------------------------------------------
 
 
-def _link(sk: _Skeleton, st: _State, pairs) -> tuple[tuple[int, int], dict]:
-    """The loops and paths of ``st`` after pairing the two ends of each pair.
+def _link(sk: _Skeleton, paths: dict, pairs) -> tuple[int, dict]:
+    """The loops (packed: _W each, or _W * _W around one puncture) and paths
+    made by pairing the two ends of each pair.
 
     If a and b are the two ends of one curve, it closes into a loop that
     encloses the punctures whose summed count is nonzero; otherwise the far
     ends of a and b become the two ends of one path.
     """
-    loops, paths = list(st.loops), dict(st.paths)
+    shift, paths = 0, dict(paths)
     for a, b in pairs:
         fa, ca = paths.pop(a, None) or (a ^ 1, sk.count[a])
         fb, cb = paths.pop(b, None) or (b ^ 1, sk.count[b])
         if fa == b:
             enclosed = sum(1 for c in ca if c)
-            loops[min(enclosed, sk.n - enclosed) != 0] += 1
+            shift += _W * _W if min(enclosed, sk.n - enclosed) else _W
         else:
             paths[fa] = (fb, tuple(y - x for x, y in zip(ca, cb)))
             paths[fb] = (fa, tuple(x - y for x, y in zip(ca, cb)))
-    return tuple(loops), paths
+    return shift, paths
 
 
-def _smooth(sk: _Skeleton, st: _State, sign: int) -> _State:
-    """The last pending crossing smoothed; sign +1 is the A term."""
-    loops, paths = _link(sk, st, sk.smoothings[st.pending[-1]][0 if sign > 0 else 1])
-    return _State(st.half_a + 2 * sign, st.vexp, loops, paths, st.pending[:-1], st.ends)
+def _smooth(sk: _Skeleton, st: _State, sign: int) -> tuple[int, _State]:
+    """(packed exponents, state) of the last pending crossing smoothed; sign +1 is the A term."""
+    shift, paths = _link(sk, st.paths, sk.smoothings[st.pending[-1]][0 if sign > 0 else 1])
+    return shift + 2 * sign, _State(paths, st.pending[:-1], st.ends)
 
 
-def _join(sk: _Skeleton, st: _State, p: int, i: int, sign: int) -> _State:
-    """Join the ends i and i + 1 (in height order) at puncture p by a detour
-    around p; sign +1 is the A^(1/2) term.
+def _join(sk: _Skeleton, st: _State, p: int, i: int, sign: int) -> tuple[int, _State]:
+    """(packed exponents, state) with the ends i and i + 1 (in height order)
+    at puncture p joined by a detour around p; sign +1 is the A^(1/2) term.
 
     The detour leaves the higher end's slot and sweeps clockwise (sign +1)
     or counterclockwise to the lower end's slot; a sweep is the number of
@@ -544,11 +527,8 @@ def _join(sk: _Skeleton, st: _State, p: int, i: int, sign: int) -> _State:
         new_crossings.append(len(sk.smoothings) - 1)
     ends = list(st.ends)
     ends[p - 1] = tuple((h, stubs.get(e, e)) for h, e in at_p if e not in (hi, lo))
-    vexp = list(st.vexp)
-    vexp[p - 1] -= 1
-    loops, paths = _link(sk, st, ((hi, pieces[0]), (lo, pieces[-1] ^ 1)))
-    pending = st.pending + tuple(new_crossings)
-    return _State(st.half_a + sign, tuple(vexp), loops, paths, pending, tuple(ends))
+    shift, paths = _link(sk, st.paths, ((hi, pieces[0]), (lo, pieces[-1] ^ 1)))
+    return shift + sign, _State(paths, st.pending + tuple(new_crossings), tuple(ends))
 
 
 # The arc generators of the punctured spheres, keyed by the punctures they join.
@@ -573,9 +553,9 @@ def _word(sk: _Skeleton, st: _State) -> Word:
 # The most merged states that one frontier step may hold.
 STATE_BUDGET = 20_000
 
-# A merged coefficient maps half_a + (loops[0] + loops[1] * _W) * _W + _W // 2
-# to the number of branches with those exponents (vexp follows from the key's
-# ends); a branch takes far fewer than 2^30 steps, so every field fits.
+# A branch's A^(half_a/2) loop^l0 puncture_loop^l1 packs as half_a + _W // 2
+# + (l0 + l1 * _W) * _W; its v^vexp follows from its ends (a join at p takes
+# two there and adds v_p^-1).  Branches take under 2^30 steps: fields fit.
 _W = 1 << 32
 
 
@@ -583,17 +563,15 @@ class EvaluationBudgetExceeded(DiagramError):
     """A frontier step of the merged resolution exceeds ``STATE_BUDGET``."""
 
 
-def _frontiers(sk: _Skeleton, root: _State, rng=None):
+def _frontiers(sk: _Skeleton, root: _State, shift: int, rng=None):
     """The merged resolution, one step per termination measure: a dict from
-    merge key (pending, ends, paths) to (state, coefficient); with no
-    crossing pending, ends are keyed by (puncture, height, slot), not by id.
-    Each key is expanded once, smoothing its last pending crossing or else
-    joining the lowest (or, with ``rng``, a random) adjacent pair; its
-    children's coefficients are its own shifted by what they gathered."""
+    merge key to (state, {packed exponents: branch count}); with no crossing
+    pending, ends are keyed by (puncture, height, slot), not by id.  Each key
+    is expanded once, smoothing its last pending crossing or else joining the
+    lowest (or, with ``rng``, a random) adjacent pair; its children's counts
+    are its own shifted by what they gathered, and the root's by ``shift``."""
     measure = lambda st: (sum(map(len, st.ends)), len(st.pending))
-    pack = lambda st: st.half_a + (st.loops[0] + st.loops[1] * _W) * _W
-    merged_root = root._replace(half_a=0, loops=(0, 0)), {pack(root) + _W // 2: 1}
-    levels = {measure(root): {None: merged_root}}  # the root is alone in its step
+    levels = {measure(root): {None: (root, {shift + _W // 2: 1})}}  # the root is alone in its step
     while levels:
         frontier = levels.pop(max(levels))
         if len(frontier) > STATE_BUDGET:
@@ -608,8 +586,7 @@ def _frontiers(sk: _Skeleton, root: _State, rng=None):
                 children = _join(sk, st, p, i, +1), _join(sk, st, p, i, -1)
             else:
                 continue
-            for child in children:
-                shift, step = pack(child), levels.setdefault(measure(child), {})
+            for shift, child in children:
                 if child.pending:
                     key = child.pending, child.ends, frozenset(child.paths.items())
                 else:  # open ends are puncture ends; equal (height, slot) act alike
@@ -617,7 +594,7 @@ def _frontiers(sk: _Skeleton, root: _State, rng=None):
                     key = tuple(
                         tuple((h, sk.slot[e], sk.at[f], c) for h, e in at for f, c in [far(e)]) for at in child.ends
                     )
-                merged = step.setdefault(key, (child._replace(half_a=0, loops=(0, 0)), {}))[1]
+                merged = levels.setdefault(measure(child), {}).setdefault(key, (child, {}))[1]
                 for k, c in coeff.items():
                     merged[k + shift] = merged.get(k + shift, 0) + c
 
@@ -639,14 +616,15 @@ def resolve_fully(d: Diagram, rng=None) -> list[WeightedState]:
     errors = validate(d)
     if errors:
         raise DiagramError(errors)
-    sk, root = _skeleton(d, _crossings(d)[1])
+    sk, root, shift = _skeleton(d, _crossings(d)[1])
     terms: dict[Word, dict[int, list]] = {}  # word -> packed loops -> terms
-    for frontier in _frontiers(sk, root, rng):
+    for frontier in _frontiers(sk, root, shift, rng):
         for st, coeff in frontier.values():
             if not st.pending and all(len(at_p) < 2 for at_p in st.ends):
+                vexp = tuple((len(at) - len(at0)) // 2 for at, at0 in zip(st.ends, root.ends))
                 by_loops = terms.setdefault(_word(sk, st), {})
                 for k, c in coeff.items():
-                    by_loops.setdefault(k // _W, []).append((Monomial(k % _W - _W // 2, st.vexp), c))
+                    by_loops.setdefault(k // _W, []).append((Monomial(k % _W - _W // 2, vexp), c))
     n, powers = d.n, {}  # l0 + l1 * _W -> loop_scalar^l0 * puncture_loop_scalar^l1
     loop, puncture_loop = ring.loop_scalar(n), ring.puncture_loop_scalar(n)
     for loops in {loops for by_loops in terms.values() for loops in by_loops}:
@@ -860,14 +838,20 @@ def diagram_to_dict(d: Diagram) -> dict:
     return {"n": d.n, "components": comps, "over_under": over}
 
 
+def _coordinate(x) -> Fraction:
+    """Fraction(str(x)), refusing a decimal exponent over the digit limit (0: none) before expanding it."""
+    exp, limit = re.search(r"e([-+]?\d+(_\d+)*)\s*\Z", str(x), re.I), sys.get_int_max_str_digits()
+    if limit and exp and abs(int(exp[1])) > limit:
+        raise ValueError(f"a coordinate's exponent is over the digit limit {limit}")
+    return Fraction(str(x))
+
+
 def diagram_from_dict(obj: Mapping) -> Diagram:
     try:
         n = int(obj["n"])
         comps = []
         for entry in obj.get("components", []):
-            points = tuple(
-                (Fraction(str(x)), Fraction(str(y))) for x, y in entry["points"]
-            )
+            points = tuple((_coordinate(x), _coordinate(y)) for x, y in entry["points"])
             closed = bool(entry.get("closed", False))
             start = end = None
             if entry.get("start") is not None:

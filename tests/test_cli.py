@@ -214,6 +214,8 @@ def test_eval_diagram_hostile_documents(tmp_path, capsys):
         '{"n": 2, "components": [{"points": [[1, 0], [2, 0]],'
         ' "start": {"puncture": 1, "height": 1e400}, "end": {"puncture": 2, "height": 0}}]}',
         "[" * 100000 + "]" * 100000,
+        '{"n": 0, "components": [{"closed": true, "points": [["0", "0"], ["1e10000000", "0"], ["0", "1"]]}]}',
+        '{"n": 0, "components": [{"closed": true, "points": [["0", "0"], ["1e-10000000", "0"], ["0", "1"]]}]}',
     ):
         path = tmp_path / "hostile.json"
         path.write_text(text)

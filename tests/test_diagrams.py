@@ -38,7 +38,7 @@ from arcalg import (
     v_power,
     validate,
 )
-from arcalg.diagrams import _crossings, _join, _skeleton, _smooth
+from arcalg.diagrams import _W, _crossings, _join, _skeleton, _smooth
 from arcalg.presentations import GENS_A3, GEN_A, mat_mul
 from arcalg.ring import LaurentPoly, Monomial
 
@@ -181,13 +181,19 @@ def test_kink_resolution_tree_size():
 
 
 def _root(d):
-    """The skeleton and root state of the resolution tree of ``d``."""
+    """The skeleton, root state and packed free loops of the resolution of ``d``."""
     assert validate(d) == []
     return _skeleton(d, _crossings(d)[1])
 
 
-def _state_coefficient(n, st):
-    return LaurentPoly(n, {Monomial(st.half_a, st.vexp): 1})
+def _gathered(n, root, shift, st):
+    """What the steps from ``root`` to ``st`` gathered, given the sum of their
+    packed exponents: the coefficient A^(half_a/2) v^vexp (each join at p
+    leaves two ends fewer there) and the loop counts (plain, around one
+    puncture)."""
+    loops, half_a = divmod(shift + _W // 2, _W)
+    vexp = tuple((len(at) - len(at0)) // 2 for at, at0 in zip(st.ends, root.ends))
+    return LaurentPoly(n, {Monomial(half_a - _W // 2, vexp): 1}), (loops % _W, loops // _W)
 
 
 def _far_end(st, e):
@@ -201,21 +207,21 @@ def test_resolve_crossing_single_step():
     d0 = Diagram(0, (l1, l2), {})
     keys = [k for k, _ in diagram_crossings(d0)]
     d = Diagram(0, (l1, l2), {k: "b" for k in keys})
-    sk, root = _root(d)
-    assert len(root.pending) == 2
+    sk, root, shift = _root(d)
+    assert len(root.pending) == 2 and shift == 0
     plus, minus = _smooth(sk, root, +1), _smooth(sk, root, -1)
-    assert _state_coefficient(0, plus) == a_power(1, 0)
-    assert _state_coefficient(0, minus) == a_power(-1, 0)
-    for child in (plus, minus):
-        assert len(child.pending) == 1
-        assert child.loops == (0, 0)
+    assert _gathered(0, root, *plus)[0] == a_power(1, 0)
+    assert _gathered(0, root, *minus)[0] == a_power(-1, 0)
+    for step in (plus, minus):
+        assert len(step[1].pending) == 1
+        assert _gathered(0, root, *step)[1] == (0, 0)
     # the second smoothing closes both curves: one loop when the two signs
     # agree, two when they differ; no open path is left
-    for first, child in ((+1, plus), (-1, minus)):
+    for first, (child_shift, child) in ((+1, plus), (-1, minus)):
         for second in (+1, -1):
-            leaf = _smooth(sk, child, second)
+            leaf_shift, leaf = _smooth(sk, child, second)
             assert leaf.pending == () and leaf.paths == {}
-            assert leaf.loops == ((1 if first == second else 2), 0)
+            assert _gathered(0, root, child_shift + leaf_shift, leaf)[1] == ((1 if first == second else 2), 0)
     with pytest.raises(DiagramError):
         resolve_fully(Diagram(0, (l1, l2), {**d.over, ((7, 7), (8, 8)): "a"}))
 
@@ -240,13 +246,13 @@ def test_resolve_puncture_pair_single_step():
     c1 = tent(2, 1, 2, 0, apex=1)
     c2 = tent(2, 1, 2, 1, apex=2)
     d = Diagram(2, (c1, c2), {})
-    sk, root = _root(d)
+    sk, root, _ = _root(d)
     plus, minus = _join(sk, root, 1, 0, +1), _join(sk, root, 1, 0, -1)
     # coefficients are v1^-1 A^(1/2) and v1^-1 A^(-1/2)
-    assert _state_coefficient(2, plus) == v_power(1, 2, -1) * a_half_power(1, 2)
-    assert _state_coefficient(2, minus) == v_power(1, 2, -1) * a_half_power(-1, 2)
+    assert _gathered(2, root, *plus)[0] == v_power(1, 2, -1) * a_half_power(1, 2)
+    assert _gathered(2, root, *minus)[0] == v_power(1, 2, -1) * a_half_power(-1, 2)
     # endpoint count at puncture 1 dropped by two; one arc joins the ends at 2
-    for child in (plus, minus):
+    for _, child in (plus, minus):
         assert child.ends[0] == ()
         (_, e), (_, f) = child.ends[1]
         assert _far_end(child, e) == f
@@ -297,6 +303,24 @@ def test_classify_canonicalizes_to_puncture_one_side():
     # The loop around {2, 3} is the loop around {1} from the far side.
     d = Diagram(3, (loop_component(F(3, 2), F(7, 2)),), {})
     assert evaluate(d) == AlgElement.from_scalar(puncture_loop_scalar(3))
+
+
+def test_fixed_ray_edge_cases():
+    # Each puncture's ray goes straight up, turned clockwise by less than any
+    # angle of the diagram: a vertex or crossing on it counts once, and it
+    # comes just before an end that points straight up.
+    vertical = Component(pts((1, 0), (1, 1), (2, 1), (2, 0)), False, Attachment(1, 0), Attachment(2, 0))
+    assert evaluate(Diagram(2, (vertical,), {})) == AlgElement.from_generator(GEN_A, 2)
+    around_1 = pts(("1/2", "-1/2"), ("3/2", "-1/2"), ("3/2", "1/2"), (1, "1/2"), ("1/2", "1/2"))
+    assert evaluate(Diagram(2, (Component(around_1, True),), {})) == AlgElement.from_scalar(puncture_loop_scalar(2))
+    # a vertical arc under an arc that crosses it straight above puncture 1
+    under = Component(pts((1, 0), (1, 2), (2, 2), (2, 0)), False, Attachment(1, 0), Attachment(2, 0))
+    over = Component(pts((1, 0), (0, 1), ("3/2", 1), (2, 0)), False, Attachment(1, 1), Attachment(2, 1))
+    assert diagram_crossings(Diagram(2, (under, over), {})) == [(((0, 0), (1, 1)), (F(1), F(1)))]
+    d = Diagram(2, (under, over), {((0, 0), (1, 1)): "b"})
+    assert evaluate(d) == nf(Surface(0, 2), AlgElement.from_word((GEN_A, GEN_A), 2))
+    around_12 = pts(("1/2", "-1/2"), ("5/2", "-1/2"), ("5/2", "1/2"), (2, "1/2"), ("1/2", "1/2"))
+    assert evaluate(Diagram(3, (Component(around_12, True),), {})) == AlgElement.from_scalar(puncture_loop_scalar(3))
 
 
 def test_trivial_loop_value_on_three_punctures():
@@ -417,14 +441,17 @@ def test_long_products_match_the_presentation(punctures, word):
 
 
 def test_merged_frontier_work_gate():
-    # a1 a2 a3 a1 a2 has 9216 branches, all ending in one word; the work
-    # follows the distinct states per frontier step.
+    # a1 a2 a3 a1 a2 has 9216 branches and F0,2 a^4 6400, each all ending in
+    # one word; the work follows the distinct states per frontier step.
     import arcalg.diagrams as engine
 
-    d = reduce(stack, [generator_diagram(Surface(0, 3), g) for g in (A1, A2, A3, A1, A2)])
-    widths = [len(step) for step in engine._frontiers(*_root(d))]
-    assert widths == [1, 2, 4, 8, 16, 32, 40, 36, 36, 50, 50, 67, 134, 78, 26]
-    assert len(resolve_fully(d)) == 1
+    for punctures, word, widths in (
+        (3, (A1, A2, A3, A1, A2), [1, 2, 4, 8, 16, 32, 40, 36, 36, 50, 50, 67, 134, 78, 26]),
+        (2, (GEN_A,) * 4, [1, 2, 4, 5, 10, 13, 14, 14, 23, 17, 6, 6, 10, 4, 1]),
+    ):
+        d = reduce(stack, [generator_diagram(Surface(0, punctures), g) for g in word])
+        assert [len(step) for step in engine._frontiers(*_root(d))] == widths
+        assert len(resolve_fully(d)) == 1
 
 
 def test_state_budget_stops_evaluation_early(monkeypatch):
