@@ -39,6 +39,9 @@ USAGE_ERROR = 2
 CHECK_FAILURE = 1
 BROKEN_PIPE = 1  # what Python itself exits with on EPIPE
 
+# The largest ``complete --degree-bound``; completion cost grows about 2.5x per +4.
+DEGREE_BUDGET = 24
+
 _RANK_SPECIALIZATIONS = (
     (Fraction(2), (Fraction(3), Fraction(5), Fraction(7))),
     (Fraction(1), (Fraction(1), Fraction(1), Fraction(1))),
@@ -123,12 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_normalize(args) -> int:
     alg = algebra_for(args.surface, args.variant)
-    alphabet = generator_alphabet(args.surface)
-    try:
-        element = parse_element(args.expression, alg.arity, alphabet)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+    element = parse_element(args.expression, alg.arity, generator_alphabet(args.surface))
     return _print_element(alg.nf(element), args.json)
 
 
@@ -142,13 +140,7 @@ def _cmd_eval_diagram(args) -> int:
     except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read file: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    try:
-        diagram = diagrams.loads_diagram(text)
-        result = diagrams.evaluate(diagram)
-    except diagrams.DiagramError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    return _print_element(result, args.json)
+    return _print_element(diagrams.evaluate(diagrams.loads_diagram(text)), args.json)
 
 
 def _surface_checks(surface: Surface, variant: str) -> presentations.Report:
@@ -207,14 +199,13 @@ def _surface_checks(surface: Surface, variant: str) -> presentations.Report:
     return presentations.Report(tuple(records))
 
 
-def _cmd_verify(args) -> int:
-    report = _surface_checks(args.surface, args.variant)
-    if args.json:
-        print(json.dumps(report.to_dict(), sort_keys=True))
-    else:
-        for line in report.lines():
-            print(line)
+def _print_report(report: presentations.Report, as_json: bool) -> int:
+    print(json.dumps(report.to_dict(), sort_keys=True) if as_json else "\n".join(report.lines()))
     return 0 if report.passed else CHECK_FAILURE
+
+
+def _cmd_verify(args) -> int:
+    return _print_report(_surface_checks(args.surface, args.variant), args.json)
 
 
 def _cmd_complete(args) -> int:
@@ -222,6 +213,9 @@ def _cmd_complete(args) -> int:
     raw = RewriteSystem(alg.arity, alg.rules)
     if args.degree_bound < max(len(r.lhs) for r in alg.rules):
         print("error: --degree-bound is smaller than the longest rule", file=sys.stderr)
+        return USAGE_ERROR
+    if args.degree_bound > DEGREE_BUDGET:
+        print(f"error: --degree-bound is larger than DEGREE_BUDGET = {DEGREE_BUDGET}", file=sys.stderr)
         return USAGE_ERROR
     _, report = complete(raw, args.degree_bound)
     if args.json:
@@ -243,13 +237,7 @@ def _cmd_complete(args) -> int:
 
 
 def _cmd_rep_check(args) -> int:
-    report = presentations.verify_rho_homomorphism()
-    if args.json:
-        print(json.dumps(report.to_dict(), sort_keys=True))
-    else:
-        for line in report.lines():
-            print(line)
-    return 0 if report.passed else CHECK_FAILURE
+    return _print_report(presentations.verify_rho_homomorphism(), args.json)
 
 
 def main(argv=None) -> int:
@@ -266,7 +254,7 @@ def main(argv=None) -> int:
         status = handler(args)
         sys.stdout.flush()
         return status
-    except StepBudgetExceeded as exc:
+    except (ParseError, diagrams.DiagramError, StepBudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except BrokenPipeError:

@@ -69,8 +69,8 @@ from .geometry import winding_number  # noqa: F401  (unused here; the attribute 
 from .ring import LaurentPoly, Monomial
 
 __all__ = [
-    "DiagramError", "EvaluationBudgetExceeded", "STATE_BUDGET", "Attachment", "Component", "Diagram",
-    "WeightedState", "CrossKey", "puncture_position", "validate", "diagram_crossings", "evaluate",
+    "DiagramError", "EvaluationBudgetExceeded", "STATE_BUDGET", "SEGMENT_BUDGET", "Attachment", "Component",
+    "Diagram", "WeightedState", "CrossKey", "puncture_position", "validate", "diagram_crossings", "evaluate",
     "resolve_fully", "stack", "empty_diagram", "arc_diagram", "generator_diagram", "loop_component",
     "diagram_to_dict", "diagram_from_dict", "dumps_diagram", "loads_diagram",
 ]
@@ -552,6 +552,8 @@ def _word(sk: _Skeleton, st: _State) -> Word:
 
 # The most merged states that one frontier step may hold.
 STATE_BUDGET = 20_000
+# The most segments a diagram document may have: ``_scan`` compares every pair.
+SEGMENT_BUDGET = 1000
 
 # A branch's A^(half_a/2) loop^l0 puncture_loop^l1 packs as half_a + _W // 2
 # + (l0 + l1 * _W) * _W; its v^vexp follows from its ends (a join at p takes
@@ -870,6 +872,8 @@ def diagram_from_dict(obj: Mapping) -> Diagram:
             over[(ka, kb)] = label
     except (IndexError, KeyError, OverflowError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise DiagramError(f"malformed diagram document: {exc}") from None
+    if (segments := sum(c.segment_count() for c in comps)) > SEGMENT_BUDGET:
+        raise DiagramError(f"diagram has {segments} segments, more than SEGMENT_BUDGET = {SEGMENT_BUDGET}")
     return Diagram(n, tuple(comps), over)
 
 

@@ -6,7 +6,7 @@ Grammar (whitespace insignificant, ^ binds tighter than *, * tighter than +/-):
     term     := factor ('*' factor)*
     factor   := atom ['^' exponent]
     atom     := INT | 'A' | 'v' INT | generator | '(' expr ')'
-    exponent := ['-'] INT | '(' ['-'] INT '/' '2' ')'
+    exponent := ['-'] INT | '(' ['-'] INT ['/' '2'] ')'
 
 Half exponents are accepted for A only.  '*' between generator factors is
 noncommutative concatenation.  The generator alphabet is supplied by the
@@ -169,15 +169,17 @@ class _Parser:
     def exponent(self, allow_half: bool) -> tuple[int, bool]:
         """Parse an exponent; returns (value, is_half_exponent)."""
         tok = self.next()
-        if tok[1] == "(":
-            sign = 1
+        paren = tok[1] == "("
+        if paren:
             tok = self.next()
-            if tok[1] == "-":
-                sign = -1
-                tok = self.next()
-            if tok[0] != "int":
-                raise ParseError(f"expected integer exponent, found {tok[1]!r}", tok[2])
-            k = sign * _int(tok[1], tok[2])
+        sign = 1
+        if tok[1] == "-":
+            sign = -1
+            tok = self.next()
+        if tok[0] != "int":
+            raise ParseError(f"expected integer exponent, found {tok[1]!r}", tok[2])
+        k = sign * _int(tok[1], tok[2])
+        if paren:
             nxt = self.next()
             if nxt[1] == "/":
                 denom = self.next()
@@ -189,14 +191,6 @@ class _Parser:
                 return k, True
             if nxt[1] != ")":
                 raise ParseError(f"expected ')' or '/', found {nxt[1]!r}", nxt[2])
-            return (2 * k, True) if allow_half else (k, False)
-        sign = 1
-        if tok[1] == "-":
-            sign = -1
-            tok = self.next()
-        if tok[0] != "int":
-            raise ParseError(f"expected integer exponent, found {tok[1]!r}", tok[2])
-        k = sign * _int(tok[1], tok[2])
         return (2 * k, True) if allow_half else (k, False)
 
 

@@ -313,51 +313,22 @@ def psi_embed(x: AlgElement, arity: int) -> AlgElement:
 Matrix = tuple[tuple[LaurentPoly, ...], ...]
 
 
-def _mat(rows: list[list[LaurentPoly | int]], n: int = 3) -> Matrix:
-    return tuple(
-        tuple(ring.const(e, n) if isinstance(e, int) else e for e in row) for row in rows
-    )
-
-
 @lru_cache(maxsize=None)
 def _rho_base() -> dict[Word, Matrix]:
+    """rho(1) and rho(a_i), whose column c is a_i times basis element c by the product rule."""
     n = 3
     d = ring.delta(n)
-    d2 = d * d
-    v1i = ring.v_power(1, n, -1)
-    v2i = ring.v_power(2, n, -1)
-    v3i = ring.v_power(3, n, -1)
-    ident = _mat([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
-    m1 = _mat(
-        [
-            [0, v2i * v3i * d2, 0, 0],
-            [1, 0, 0, 0],
-            [0, 0, 0, v2i * d],
-            [0, 0, v3i * d, 0],
-        ]
-    )
-    m2 = _mat(
-        [
-            [0, 0, v1i * v3i * d2, 0],
-            [0, 0, 0, v1i * d],
-            [1, 0, 0, 0],
-            [0, v3i * d, 0, 0],
-        ]
-    )
-    m3 = _mat(
-        [
-            [0, 0, 0, v1i * v2i * d2],
-            [0, 0, v1i * d, 0],
-            [0, v2i * d, 0, 0],
-            [1, 0, 0, 0],
-        ]
-    )
-    return {
-        EMPTY_WORD: ident,
-        (Generator("a", 1),): m1,
-        (Generator("a", 2),): m2,
-        (Generator("a", 3),): m3,
-    }
+    base = {EMPTY_WORD: tuple(tuple(ring.const(int(r == c), n) for c in range(4)) for r in range(4))}
+    for i in (1, 2, 3):
+        j, k = i % 3 + 1, (i + 1) % 3 + 1
+        vj, vk = ring.v_power(j, n, -1), ring.v_power(k, n, -1)
+        m = [[ring.zero(n)] * 4 for _ in range(4)]
+        m[i][0] = ring.const(1, n)
+        m[0][i] = vj * vk * d * d
+        m[k][j] = vk * d
+        m[j][k] = vj * d
+        base[(Generator("a", i),)] = tuple(map(tuple, m))
+    return base
 
 
 def rho(g: Generator | None = None) -> Matrix:

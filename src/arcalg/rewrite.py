@@ -50,7 +50,11 @@ class RuleError(ValueError):
 
 
 class StepBudgetExceeded(RuntimeError):
-    """normal_form exceeded its step cap; the rule set does not terminate."""
+    """normal_form exceeded ``STEP_BUDGET``; the rule set does not terminate."""
+
+
+# The most reduction steps that one ``normal_form`` call may take.
+STEP_BUDGET = 100_000
 
 
 def find_subword(word: Word, sub: Word) -> int:
@@ -122,7 +126,6 @@ class Rule:
 class RewriteSystem:
     arity: int
     rules: tuple[Rule, ...]
-    max_steps: int = 100_000
 
     def __post_init__(self):
         for r in self.rules:
@@ -186,11 +189,11 @@ class RewriteSystem:
         """``reduce_once`` to a fixed point, in one pass from the largest word down.
 
         A monomial the call forms is an input monomial times at most
-        ``max_steps`` rule monomials, so packing in base 2^s with
-        2^(s-1) above that bound on its fields is exact.
+        ``STEP_BUDGET`` rule monomials (more steps raise), so packing in
+        base 2^s with 2^(s-1) above that bound on its fields is exact.
         """
         monos = {m for c in x._terms.values() for m in c._terms}
-        reach = _max_field(monos) + max(self.max_steps, 0) * self._rule_field
+        reach = _max_field(monos) + STEP_BUDGET * self._rule_field
         s = reach.bit_length() + 1
         enc = {m: _pack(m, s) for m in monos}
         packed = self._packed_rules(s)
@@ -208,8 +211,8 @@ class RewriteSystem:
                 out[word] = c
                 continue
             steps += 1
-            if steps > self.max_steps:
-                raise StepBudgetExceeded(f"no normal form after {self.max_steps} steps")
+            if steps > STEP_BUDGET:
+                raise StepBudgetExceeded(f"no normal form after {STEP_BUDGET} steps")
             ri, pos = hit
             pre, post = word[:pos], word[pos + len(self.rules[ri].lhs) :]
             for u, r in packed[ri]:
@@ -324,7 +327,7 @@ def complete(system: RewriteSystem, degree_bound: int) -> tuple[RewriteSystem, C
     added: list[Rule] = []
     joined: set[CriticalPair] = set()
     while True:
-        sysx = RewriteSystem(system.arity, tuple(rules), system.max_steps)
+        sysx = RewriteSystem(system.arity, tuple(rules))
         report = ConfluenceReport(added_rules=added)
         progressed = False
         for cp in critical_pairs(sysx, degree_bound):

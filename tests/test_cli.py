@@ -126,6 +126,16 @@ def test_complete_bad_bound(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("bound, code", [("24", 0), ("25", 2), ("1000000", 2)])
+def test_complete_degree_budget(capsys, bound, code):
+    # F0,3 completes at once at any bound, so only the ceiling can refuse it
+    got, out, err = run(capsys, "complete", "--surface", "0,3", "--degree-bound", bound)
+    assert got == code
+    if code == 2:
+        assert out == ""
+        assert err == "error: --degree-bound is larger than DEGREE_BUDGET = 24\n"
+
+
 def test_rep_check(capsys):
     code, out, _ = run(capsys, "rep-check")
     assert code == 0
@@ -232,6 +242,23 @@ def test_eval_diagram_state_budget(monkeypatch, capsys):
     code, out, err = run(capsys, "eval-diagram", path)
     assert (code, out) == (2, "")
     assert err == "error: evaluation budget exceeded: more than STATE_BUDGET = 8 merged states in one frontier step\n"
+
+
+def test_eval_diagram_segment_budget(monkeypatch, tmp_path, capsys):
+    import arcalg.diagrams
+
+    monkeypatch.setattr(arcalg.diagrams, "SEGMENT_BUDGET", 4)
+    path = tmp_path / "loop.json"
+    square = [["0", "0"], ["4", "0"], ["4", "4"], ["0", "4"]]
+    for points, code in ((square + [["-1", "2"]], 2), (square, 0)):
+        path.write_text(json.dumps({"n": 0, "components": [{"closed": True, "points": points}]}))
+        got, out, err = run(capsys, "eval-diagram", str(path))
+        assert got == code
+        if code == 2:
+            assert out == ""
+            assert err == "error: diagram has 5 segments, more than SEGMENT_BUDGET = 4\n"
+        else:
+            assert out == "(-A^2 - A^-2)\n"
 
 
 def test_eval_diagram_invalid_content(tmp_path, capsys):

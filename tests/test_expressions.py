@@ -96,6 +96,29 @@ def test_half_power_only_on_a():
         parse_element("a1^(1/2)", 3, AB3)
 
 
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ("A^(3)", "A^3"),
+        ("A^(-3)", "A^-3"),
+        ("A^-3", "A^-3"),
+        ("a1^(2)", "a1*a1"),
+        ("A^(1/3)", "only halves are allowed in exponents (at offset 5)"),
+        ("a1^(1/2)", "half exponents are allowed on A only (at offset 4)"),
+        ("A^(1", "unexpected end of input (at offset 4)"),
+        ("A^(x)", "expected integer exponent, found 'x' (at offset 3)"),
+        ("A^(-)", "expected integer exponent, found ')' (at offset 4)"),
+    ],
+)
+def test_exponent_forms(text, expected):
+    # bare and parenthesized exponents share one sign-and-integer path
+    try:
+        got = str(parse_element(text, 3, AB3))
+    except ParseError as exc:
+        got = str(exc)
+    assert got == expected
+
+
 def test_negative_power_needs_invertible_base():
     with pytest.raises(ParseError):
         parse_element("a1^-1", 3, AB3)

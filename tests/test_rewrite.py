@@ -27,6 +27,7 @@ from arcalg import (
     v_power,
 )
 from arcalg.freealg import word_key
+from arcalg import rewrite
 from arcalg.rewrite import _pack, _unpack
 
 from bruteforce import _redexes, all_normal_forms, random_normal_form
@@ -136,16 +137,20 @@ def test_termination_measure_asserted_each_step():
     assert n == AlgElement.from_word((a,), 0, const(32, 0))
 
 
-def test_step_budget_is_enforced():
+def test_step_budget_is_enforced(monkeypatch):
     # a^5 -> 2a^4 -> 4a^3 -> 8a^2 -> 16a: exactly four steps
     a = Generator("a")
     rule = Rule((a, a), AlgElement.from_word((a,), 0, const(2, 0)))
     x = AlgElement.from_word((a,) * 5, 0)
     expected = AlgElement.from_word((a,), 0, const(16, 0))
-    assert RewriteSystem(0, (rule,), max_steps=4).normal_form(x) == expected
+    # the budget is the module constant, not a per-system field
+    assert [f.name for f in dataclasses.fields(RewriteSystem)] == ["arity", "rules"]
+    monkeypatch.setattr(rewrite, "STEP_BUDGET", 4)
+    assert RewriteSystem(0, (rule,)).normal_form(x) == expected
     for budget in (1, 3):
+        monkeypatch.setattr(rewrite, "STEP_BUDGET", budget)
         with pytest.raises(StepBudgetExceeded):
-            RewriteSystem(0, (rule,), max_steps=budget).normal_form(x)
+            RewriteSystem(0, (rule,)).normal_form(x)
 
 
 def test_term_order_assertion_fires():
@@ -181,7 +186,7 @@ def _reduce_to_fixed_point(system, x):
     ],
     ids=["F0,2", "F0,3", "F1,0", "F1,0-literal", "F1,1", "F1,1-literal"],
 )
-def test_normal_form_is_reduce_once_to_a_fixed_point(surface, variant):
+def test_normal_form_is_reduce_once_to_a_fixed_point(surface, variant, monkeypatch):
     # The torus systems are not confluent, so their normal forms depend on
     # the reduction strategy; this pins it, step count included.
     alg = algebra_for(surface, variant)
@@ -203,14 +208,17 @@ def test_normal_form_is_reduce_once_to_a_fixed_point(surface, variant):
         for c in got._terms.values():  # canonical: no zero entries kept
             assert all(c._terms.values())
             assert c == LaurentPoly(alg.arity, dict(c._terms))
-        assert dataclasses.replace(alg.system, max_steps=steps).normal_form(x) == expected
+        monkeypatch.setattr(rewrite, "STEP_BUDGET", steps)
+        assert alg.system.normal_form(x) == expected
         if steps:
+            monkeypatch.setattr(rewrite, "STEP_BUDGET", steps - 1)
             with pytest.raises(StepBudgetExceeded):
-                dataclasses.replace(alg.system, max_steps=steps - 1).normal_form(x)
+                alg.system.normal_form(x)
+        monkeypatch.undo()
     assert cancelled
 
 
-def test_cancelled_word_is_not_a_step():
+def test_cancelled_word_is_not_a_step(monkeypatch):
     # z -> (A + A^-1) y and y -> x, so z + k*y first adds (A + A^-1) to y's
     # coefficient k; a y whose coefficient cancels is skipped, not rewritten.
     x, y, z = (Generator(c) for c in "xyz")
@@ -223,13 +231,15 @@ def test_cancelled_word_is_not_a_step():
         ),
     )
     partly = AlgElement.from_word((z,), 0) - AlgElement.from_word((y,), 0, a_power(1, 0))
-    got = dataclasses.replace(system, max_steps=2).normal_form(partly)
+    monkeypatch.setattr(rewrite, "STEP_BUDGET", 2)
+    got = system.normal_form(partly)
     assert got == AlgElement.from_word((x,), 0, a_power(-1, 0))
     assert len(got.coeff((x,))) == 1  # one monomial survives
+    monkeypatch.setattr(rewrite, "STEP_BUDGET", 1)
     with pytest.raises(StepBudgetExceeded):
-        dataclasses.replace(system, max_steps=1).normal_form(partly)
+        system.normal_form(partly)
     fully = AlgElement.from_word((z,), 0) - AlgElement.from_word((y,), 0, two_terms)
-    assert dataclasses.replace(system, max_steps=1).normal_form(fully).is_zero
+    assert system.normal_form(fully).is_zero
 
 
 @pytest.mark.parametrize(
@@ -478,7 +488,7 @@ def test_completion_report_agrees_with_separate_normal_forms(surface, variant):
 
 
 @pytest.mark.parametrize("surface", [Surface(0, 3), Surface(1, 1)], ids=str)
-def test_normal_form_exact_at_huge_exponents(surface):
+def test_normal_form_exact_at_huge_exponents(surface, monkeypatch):
     # Packed monomials must not overflow into a neighbouring field.
     alg = algebra_for(surface)
     rng = random.Random(f"huge {surface}")
@@ -489,15 +499,17 @@ def test_normal_form_exact_at_huge_exponents(surface):
         vexp = tuple(rng.choice((2**65, -(2**65))) for _ in range(alg.arity))
         coeff = LaurentPoly(alg.arity, [(Monomial(halves[i % 4], vexp), 1)])
         x = x.scale(coeff) + x
-        system = alg.system if i else dataclasses.replace(alg.system, max_steps=10**12)
-        assert system.normal_form(x) == _reduce_to_fixed_point(system, x)[0]
+        if not i:
+            monkeypatch.setattr(rewrite, "STEP_BUDGET", 10**12)
+        assert alg.system.normal_form(x) == _reduce_to_fixed_point(alg.system, x)[0]
+        monkeypatch.undo()
     g1, g2, g3 = alg.generators[:3]
     word = AlgElement.from_word((g2, g1, g3, g2), alg.arity, a_power(2**70, alg.arity))
     x = word.scale(v_power(1, alg.arity, -(2**65)))
     assert alg.nf(x) == _reduce_to_fixed_point(alg.system, x)[0]
 
 
-def test_packing_holds_the_exponents_of_every_step():
+def test_packing_holds_the_exponents_of_every_step(monkeypatch):
     # Each step multiplies the coefficient by A^(2^40) v1^(-2^39), so the
     # packing must hold eleven times the rule's exponents, also when the
     # budget allows exactly the eleven steps.
@@ -507,7 +519,8 @@ def test_packing_holds_the_exponents_of_every_step():
     x = AlgElement.from_word((a,) * 12, 1)
     expected = AlgElement.from_word((a,), 1, scalar**11)
     for budget in (11, 100_000):
-        assert RewriteSystem(1, (rule,), max_steps=budget).normal_form(x) == expected
+        monkeypatch.setattr(rewrite, "STEP_BUDGET", budget)
+        assert RewriteSystem(1, (rule,)).normal_form(x) == expected
 
 
 def test_pack_round_trips_at_the_field_limits():
