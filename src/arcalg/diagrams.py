@@ -851,8 +851,15 @@ def _coordinate(x) -> Fraction:
 def diagram_from_dict(obj: Mapping) -> Diagram:
     try:
         n = int(obj["n"])
+        entries = list(obj.get("components", []))
+        # Counted on the raw point lists, so an oversized document converts no coordinate.
+        segments = sum(
+            len(e["points"]) - (not e.get("closed", False)) for e in entries if isinstance(e["points"], (list, tuple))
+        )
+        if segments > SEGMENT_BUDGET:
+            raise DiagramError(f"diagram has {segments} segments, more than SEGMENT_BUDGET = {SEGMENT_BUDGET}")
         comps = []
-        for entry in obj.get("components", []):
+        for entry in entries:
             points = tuple((_coordinate(x), _coordinate(y)) for x, y in entry["points"])
             closed = bool(entry.get("closed", False))
             start = end = None
@@ -870,10 +877,10 @@ def diagram_from_dict(obj: Mapping) -> Diagram:
                 ka, kb = kb, ka
                 label = {"a": "b", "b": "a"}.get(label, label)
             over[(ka, kb)] = label
+    except DiagramError:
+        raise
     except (IndexError, KeyError, OverflowError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise DiagramError(f"malformed diagram document: {exc}") from None
-    if (segments := sum(c.segment_count() for c in comps)) > SEGMENT_BUDGET:
-        raise DiagramError(f"diagram has {segments} segments, more than SEGMENT_BUDGET = {SEGMENT_BUDGET}")
     return Diagram(n, tuple(comps), over)
 
 

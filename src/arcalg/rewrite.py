@@ -16,13 +16,15 @@ failures.
 Systems are immutable after construction.  ``normal_form`` is pure, so it
 may run concurrently on many inputs.  It takes the steps of ``reduce_once``
 (largest reducible word, first rule, leftmost occurrence) in one pass over
-the support, largest word first, without re-sorting it at each step.  Its
-coefficients accumulate as maps from packed monomials to ints: each
-monomial is one int in balanced base 2^s, wide enough for every monomial
-the call can form, so a monomial product is an int addition; only final
-words are decoded to a ``LaurentPoly``.  The one-step reduct of a
-coefficient-1 word is built by concatenation, so critical pairs multiply no
-ring or algebra elements.
+the support, largest word first, on words coded as bytes: a generator's
+code is its rank in the call's alphabet, so byte order is the term order,
+the pending queue is a sorted list of ``(len, bytes)`` tuples and the redex
+search is ``bytes.find`` of each coded lhs in rule order.  Its coefficients
+accumulate as maps from packed monomials to ints: each monomial is one int
+in balanced base 2^s, wide enough for every monomial the call can form, so
+a monomial product is an int addition; only final words and monomials are
+decoded.  The one-step reduct of a coefficient-1 word is built by
+concatenation, so critical pairs multiply no ring or algebra elements.
 """
 
 from __future__ import annotations
@@ -134,18 +136,30 @@ class RewriteSystem:
         # Not fields, so ``replace`` and ``==`` do not see them.
         monos = (m for r in self.rules for c in r.rhs._terms.values() for m in c._terms)
         object.__setattr__(self, "_rule_field", _max_field(monos))
-        object.__setattr__(self, "_packed", (None, None))  # the last s and its rule table
+        gens = {g for r in self.rules for w in (r.lhs, *r.rhs._terms) for g in w}
+        object.__setattr__(self, "_alphabet", tuple(sorted(gens)))
+        object.__setattr__(self, "_packed", (None, None, None))  # the last (s, alphabet), its coder, its table
 
-    def _packed_rules(self, s: int) -> list:
-        """Per rule, ``[(u, {packed monomial: int})]`` for the terms of its rhs."""
-        last, packed = self._packed
-        if last != s:  # racing calls store equal tables
+    def _packed_rules(self, s: int, alphabet: tuple) -> tuple:
+        """The coder of words (generator -> its rank in ``alphabet``) and, per rule,
+        its coded lhs and ``[(coded u, {packed monomial: int})]`` for its rhs."""
+        key, code, packed = self._packed
+        if key != (s, alphabet):  # one tuple, so racing calls never mix two tables
+            if len(alphabet) > 256:
+                raise ValueError(f"{len(alphabet)} generators do not fit in one byte each")
+            code = {g: i for i, g in enumerate(alphabet)}.__getitem__
             packed = [
-                [(u, {_pack(m, s): k for m, k in c._terms.items()}) for u, c in r.rhs._terms.items()]
+                (
+                    bytes(map(code, r.lhs)),
+                    [
+                        (bytes(map(code, u)), {_pack(m, s): k for m, k in c._terms.items()})
+                        for u, c in r.rhs._terms.items()
+                    ],
+                )
                 for r in self.rules
             ]
-            object.__setattr__(self, "_packed", (s, packed))
-        return packed
+            object.__setattr__(self, "_packed", ((s, alphabet), code, packed))
+        return code, packed
 
     def find_redex(self, word: Word) -> tuple[int, int] | None:
         """(rule index, position) of the first matching rule's leftmost match."""
@@ -196,32 +210,37 @@ class RewriteSystem:
         reach = _max_field(monos) + STEP_BUDGET * self._rule_field
         s = reach.bit_length() + 1
         enc = {m: _pack(m, s) for m in monos}
-        packed = self._packed_rules(s)
-        terms = {w: {enc[m]: k for m, k in c._terms.items()} for w, c in x._terms.items()}
-        pending = sorted(terms, key=word_key)  # a max-queue: pop() is the largest
+        alphabet = self._alphabet
+        if extra := set().union(*x._terms).difference(alphabet):  # generators only the input uses
+            alphabet = tuple(sorted(extra.union(alphabet)))
+        code, packed = self._packed_rules(s, alphabet)
+        terms = {bytes(map(code, w)): {enc[m]: k for m, k in c._terms.items()} for w, c in x._terms.items()}
+        pending = sorted((len(w), w) for w in terms)  # a max-queue: pop() is the largest
         out = {}
         steps = 0
         while pending:
-            word = pending.pop()
+            n, word = pending.pop()
             c = {m: k for m, k in terms.pop(word).items() if k}
             if not c:  # cancelled
                 continue
-            hit = self.find_redex(word)
-            if hit is None:  # final: later steps only add smaller words
-                out[word] = c
+            for lhs, rhs in packed:  # the first rule, at its leftmost occurrence
+                pos = word.find(lhs)
+                if pos >= 0:
+                    break
+            else:  # final: later steps only add smaller words
+                out[tuple(map(alphabet.__getitem__, word))] = c
                 continue
             steps += 1
             if steps > STEP_BUDGET:
                 raise StepBudgetExceeded(f"no normal form after {STEP_BUDGET} steps")
-            ri, pos = hit
-            pre, post = word[:pos], word[pos + len(self.rules[ri].lhs) :]
-            for u, r in packed[ri]:
+            pre, post = word[:pos], word[pos + len(lhs) :]
+            for u, r in rhs:
                 new = pre + u + post
-                assert word_key(new) < word_key(word), "reduction step did not decrease the term order"
+                assert (len(new), new) < (n, word), "reduction step did not decrease the term order"
                 acc = terms.get(new)
                 if acc is None:
                     acc = terms[new] = {}
-                    insort(pending, new, key=word_key)
+                    insort(pending, (len(new), new))
                 for m1, k1 in r.items():  # acc += r * c
                     for m2, k2 in c.items():
                         m = m1 + m2
@@ -315,7 +334,7 @@ def complete(system: RewriteSystem, degree_bound: int) -> tuple[RewriteSystem, C
     because every added rule is a consequence of the existing ones.
 
     A joined pair is not normalized again.  ``normal_form`` is linear, since
-    the fate of a word depends only on the word, and ``find_redex`` tries
+    the fate of a word depends only on the word, and its redex search tries
     rules in system order; so for S' = S plus appended rules, every S-step
     on a word is its S'-step and nf_S' = nf_S' o nf_S.  A pair that joins
     under S therefore joins under every later system.  The pair a rule comes

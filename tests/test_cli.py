@@ -3,6 +3,7 @@
 import io
 import json
 import os
+import time
 
 import pytest
 
@@ -259,6 +260,26 @@ def test_eval_diagram_segment_budget(monkeypatch, tmp_path, capsys):
             assert err == "error: diagram has 5 segments, more than SEGMENT_BUDGET = 4\n"
         else:
             assert out == "(-A^2 - A^-2)\n"
+
+
+def test_eval_diagram_refuses_a_large_loop_before_converting_it(tmp_path, capsys):
+    # Segments are counted on the raw point lists, so the 200,000 points of
+    # this loop are not converted to fractions first; a bad coordinate among
+    # them does not change the message.
+    path = tmp_path / "loop.json"
+    points = [[i, i * i] for i in range(200_000)]
+    budget = "error: diagram has 200000 segments, more than SEGMENT_BUDGET = 1000\n"
+    for last in ([0, 1], ["not a number", 1]):
+        points[-1] = last
+        path.write_text(json.dumps({"n": 0, "components": [{"closed": True, "points": points}]}))
+        start = time.perf_counter()
+        code, out, err = run(capsys, "eval-diagram", str(path))
+        assert time.perf_counter() - start < 1
+        assert (code, out, err) == (2, "", budget)
+    path.write_text(json.dumps({"n": 0, "components": [{"closed": True, "points": 200_000}]}))
+    code, out, err = run(capsys, "eval-diagram", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: malformed diagram document: ")
 
 
 def test_eval_diagram_invalid_content(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Rewriting engine: reduction, normal forms, critical pairs, completion."""
 
 import dataclasses
+import hashlib
 import itertools
 import random
 
@@ -240,6 +241,47 @@ def test_cancelled_word_is_not_a_step(monkeypatch):
         system.normal_form(partly)
     fully = AlgElement.from_word((z,), 0) - AlgElement.from_word((y,), 0, two_terms)
     assert system.normal_form(fully).is_zero
+
+
+def test_generators_only_the_input_uses(monkeypatch):
+    # The rules use a and c; inputs add b, which sorts between them, and A,
+    # which sorts before both, so those calls code the rules differently.
+    big_a, a, b, c = (Generator(name) for name in "Aabc")
+    system = RewriteSystem(
+        0,
+        (
+            Rule((c, a), AlgElement.from_word((a, c), 0, a_power(1, 0)) + AlgElement.from_word((c,), 0, 3)),
+            Rule((c, c), AlgElement.from_word((a,), 0, a_power(-2, 0))),
+            Rule((a, a, a), AlgElement.from_word((c, a), 0, -1)),
+        ),
+    )
+    assert system._alphabet == (a, c)
+    rng = random.Random("input-only generators")
+    seen = {}
+    for i in range(60):
+        letters = (a, c) if i % 2 else (big_a, a, b, c)
+        x = AlgElement.zero(0)
+        for _ in range(rng.randint(1, 4)):
+            word = tuple(rng.choice(letters) for _ in range(rng.randint(0, 7)))
+            x = x + AlgElement.from_word(word, 0, rng.choice((-2, -1, 1, 2)))
+        expected, steps, _ = _reduce_to_fixed_point(system, x)
+        monkeypatch.setattr(rewrite, "STEP_BUDGET", steps)
+        assert system.normal_form(x) == expected
+        # the cached table is keyed by the alphabet of the last call
+        (_, alphabet), _, _ = system._packed
+        assert alphabet == tuple(sorted(set().union((a, c), *x.support())))
+        seen[alphabet] = seen.get(alphabet, 0) + 1
+        if steps:
+            monkeypatch.setattr(rewrite, "STEP_BUDGET", steps - 1)
+            with pytest.raises(StepBudgetExceeded):
+                system.normal_form(x)
+        monkeypatch.undo()
+    assert seen[a, c] >= 30 and seen[big_a, a, b, c] > 10
+    # a code is one byte, so one call takes at most 256 generators
+    many = tuple(Generator("g", i) for i in range(255))  # with a and c: 257
+    assert system.normal_form(AlgElement.from_word(many[1:], 0)).support() == {many[1:]}
+    with pytest.raises(ValueError, match="257 generators"):
+        system.normal_form(AlgElement.from_word(many, 0))
 
 
 @pytest.mark.parametrize(
@@ -560,3 +602,39 @@ def test_completion_normalizes_each_critical_pair_once(monkeypatch):
     assert per_op[Surface(1, 0), 11] == per_op[Surface(1, 1), 11] == 33
     assert per_op[Surface(0, 3), 6] == 27
     assert calls == 469
+
+
+# sha256 of the printed normal forms of ``_pinned_corpus``: any change of
+# reduction strategy, coefficient arithmetic or printing changes it.
+NF_CORPUS_SHA256 = "040fb1944ae9cdfb352a66202f2e2b8014a59f9e1ee30a0c3365d18a1a115e85"
+
+
+def _pinned_corpus():
+    """(label, algebra, element) for 200 words of length 0..10 and five
+    cancelling combinations per algebra: the four surfaces and both torus
+    variants."""
+    systems = [(s, VARIANT_DEFAULT) for s in SURFACES] + [
+        (s, VARIANT_LITERAL) for s in (Surface(1, 0), Surface(1, 1))
+    ]
+    for surface, variant in systems:
+        alg = algebra_for(surface, variant)
+        rng = random.Random(f"pin {surface} {variant}")
+        for i in range(200):
+            word = tuple(rng.choice(alg.generators) for _ in range(rng.randint(0, 10)))
+            yield f"{surface} {variant} {i}", alg, AlgElement.from_word(word, alg.arity)
+        for i in range(5):
+            x = _random_element(alg, rng, max_len=6)
+            for _ in range(3):
+                word = tuple(rng.choice(alg.generators) for _ in range(rng.randint(1, 8)))
+                term = AlgElement.from_word(word, alg.arity, rng.choice((-2, -1, 1, 2)))
+                reduct = alg.system.reduce_once(term)
+                # rewriting ``word`` then cancels the terms of its reduct
+                x = x + term - (reduct or AlgElement.zero(alg.arity))
+            yield f"{surface} {variant} sum {i}", alg, x
+
+
+def test_normal_forms_match_the_pinned_hash():
+    h = hashlib.sha256()
+    for label, alg, x in _pinned_corpus():
+        h.update(f"{label}: {alg.nf(x)}\n".encode())
+    assert h.hexdigest() == NF_CORPUS_SHA256
