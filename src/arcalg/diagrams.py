@@ -852,10 +852,10 @@ def diagram_from_dict(obj: Mapping) -> Diagram:
     try:
         n = int(obj["n"])
         entries = list(obj.get("components", []))
-        # Counted on the raw point lists, so an oversized document converts no coordinate.
-        segments = sum(
-            len(e["points"]) - (not e.get("closed", False)) for e in entries if isinstance(e["points"], (list, tuple))
-        )
+        # Counted on the raw `points` of every component (any value with a length:
+        # a JSON object iterates its keys, and a two-character key unpacks into a
+        # point), so an oversized document converts no coordinate.
+        segments = sum(max(len(e["points"]) - (not e.get("closed", False)), 0) for e in entries)
         if segments > SEGMENT_BUDGET:
             raise DiagramError(f"diagram has {segments} segments, more than SEGMENT_BUDGET = {SEGMENT_BUDGET}")
         comps = []

@@ -262,20 +262,33 @@ def test_eval_diagram_segment_budget(monkeypatch, tmp_path, capsys):
             assert out == "(-A^2 - A^-2)\n"
 
 
-def test_eval_diagram_refuses_a_large_loop_before_converting_it(tmp_path, capsys):
-    # Segments are counted on the raw point lists, so the 200,000 points of
-    # this loop are not converted to fractions first; a bad coordinate among
-    # them does not change the message.
+def test_eval_diagram_refuses_a_large_loop_before_converting_it(monkeypatch, tmp_path, capsys):
+    # Segments are counted on the raw `points` of every component, so no
+    # coordinate of an oversized document is converted (a bad one among them
+    # does not change the message). A JSON object as `points` counts its keys:
+    # iterating it yields them, and a two-character key unpacks into a point.
+    import arcalg.diagrams
+
+    converted = []
+    coordinate = arcalg.diagrams._coordinate
+    monkeypatch.setattr(arcalg.diagrams, "_coordinate", lambda x: converted.append(x) or coordinate(x))
     path = tmp_path / "loop.json"
     points = [[i, i * i] for i in range(200_000)]
-    budget = "error: diagram has 200000 segments, more than SEGMENT_BUDGET = 1000\n"
-    for last in ([0, 1], ["not a number", 1]):
-        points[-1] = last
-        path.write_text(json.dumps({"n": 0, "components": [{"closed": True, "points": points}]}))
+    keys = {f"{i:02}": 0 for i in range(100)}
+    digits = "0123456789" + "".join(chr(c) for b in (0x660, 0x966, 0x9E6) for c in range(b, b + 10))
+    wide = {x + y: 0 for x in digits for y in digits}
+    for comps, count in (
+        ([{"closed": True, "points": points}], 200_000),
+        ([{"closed": True, "points": points[:-1] + [["not a number", 1]]}], 200_000),
+        ([{"closed": True, "points": keys}] * 400, 40_000),
+        ([{"closed": True, "points": wide}], 1600),
+    ):
+        path.write_text(json.dumps({"n": 0, "components": comps}))
         start = time.perf_counter()
         code, out, err = run(capsys, "eval-diagram", str(path))
-        assert time.perf_counter() - start < 1
-        assert (code, out, err) == (2, "", budget)
+        assert time.perf_counter() - start < 5
+        assert (code, out, err) == (2, "", f"error: diagram has {count} segments, more than SEGMENT_BUDGET = 1000\n")
+        assert converted == []
     path.write_text(json.dumps({"n": 0, "components": [{"closed": True, "points": 200_000}]}))
     code, out, err = run(capsys, "eval-diagram", str(path))
     assert (code, out) == (2, "")
