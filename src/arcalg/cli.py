@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from . import diagrams, presentations
 from .expressions import ParseError, parse_element
-from .freealg import AlgElement, word_str
+from .freealg import AlgElement
 from .presentations import (
     Surface,
     VARIANT_DEFAULT,
@@ -47,6 +47,10 @@ _RANK_SPECIALIZATIONS = (
     (Fraction(1), (Fraction(1), Fraction(1), Fraction(1))),
     (Fraction(1, 2), (Fraction(2), Fraction(3), Fraction(5))),
 )
+
+
+class UsageError(ValueError):
+    """A command refused its input; ``main`` prints it and exits 2."""
 
 
 def _surface(text: str) -> Surface:
@@ -78,13 +82,12 @@ def element_to_dict(x: AlgElement) -> dict:
 
 
 def _print_element(x: AlgElement, as_json: bool) -> int:
-    """Print x and return 0; or return 2 if one of its integers has too many
-    digits for ``str`` (the interpreter's limit), leaving stdout empty."""
+    """Print x and return 0; refuse it, leaving stdout empty, if one of its
+    integers has too many digits for ``str`` (the interpreter's limit)."""
     try:
         text = json.dumps(element_to_dict(x), sort_keys=True) if as_json else str(x)
     except ValueError:
-        print("error: the result holds an integer too long to print", file=sys.stderr)
-        return USAGE_ERROR
+        raise UsageError("the result holds an integer too long to print") from None
     print(text)
     return 0
 
@@ -135,11 +138,9 @@ def _cmd_eval_diagram(args) -> int:
         with open(args.path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except FileNotFoundError as exc:
-        print(f"error: file not found: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+        raise UsageError(f"file not found: {exc}") from None
     except (OSError, UnicodeDecodeError) as exc:
-        print(f"error: cannot read file: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+        raise UsageError(f"cannot read file: {exc}") from None
     return _print_element(diagrams.evaluate(diagrams.loads_diagram(text)), args.json)
 
 
@@ -210,29 +211,16 @@ def _cmd_verify(args) -> int:
 
 def _cmd_complete(args) -> int:
     alg = algebra_for(args.surface, args.variant)
-    raw = RewriteSystem(alg.arity, alg.rules)
     if args.degree_bound < max(len(r.lhs) for r in alg.rules):
-        print("error: --degree-bound is smaller than the longest rule", file=sys.stderr)
-        return USAGE_ERROR
+        raise UsageError("--degree-bound is smaller than the longest rule")
     if args.degree_bound > DEGREE_BUDGET:
-        print(f"error: --degree-bound is larger than DEGREE_BUDGET = {DEGREE_BUDGET}", file=sys.stderr)
-        return USAGE_ERROR
-    _, report = complete(raw, args.degree_bound)
+        raise UsageError(f"--degree-bound is larger than DEGREE_BUDGET = {DEGREE_BUDGET}")
+    _, report = complete(RewriteSystem(alg.arity, alg.rules), args.degree_bound)
     if args.json:
-        payload = {
-            "surface": f"{args.surface.genus},{args.surface.punctures}",
-            "degree_bound": args.degree_bound,
-            "joinable": len(report.joinable),
-            "added_rules": [str(r) for r in report.added_rules],
-            "failures": [
-                {"word": word_str(cp.word), "left": str(n1), "right": str(n2)}
-                for cp, n1, n2 in report.failures
-            ],
-        }
-        print(json.dumps(payload, sort_keys=True))
+        surface = f"{args.surface.genus},{args.surface.punctures}"
+        print(json.dumps({"surface": surface, **report.to_dict()}, sort_keys=True))
     else:
-        for line in report.lines():
-            print(line)
+        print("\n".join(report.lines()))
     return 0 if report.confluent else CHECK_FAILURE
 
 
@@ -254,7 +242,7 @@ def main(argv=None) -> int:
         status = handler(args)
         sys.stdout.flush()
         return status
-    except (ParseError, diagrams.DiagramError, StepBudgetExceeded) as exc:
+    except (ParseError, diagrams.DiagramError, StepBudgetExceeded, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except BrokenPipeError:

@@ -305,6 +305,7 @@ class ConfluenceReport:
     joinable: list[CriticalPair] = field(default_factory=list)
     failures: list[tuple[CriticalPair, AlgElement, AlgElement]] = field(default_factory=list)
     added_rules: list[Rule] = field(default_factory=list)
+    degree_bound: int = 0
 
     @property
     def confluent(self) -> bool:
@@ -322,6 +323,17 @@ class ConfluenceReport:
             out.append(f"  FAIL {word_str(cp.word)}: {n1}  !=  {n2}")
         return out
 
+    def to_dict(self) -> dict:
+        return {
+            "degree_bound": self.degree_bound,
+            "joinable": len(self.joinable),
+            "added_rules": [str(r) for r in self.added_rules],
+            "failures": [
+                {"word": word_str(cp.word), "left": str(n1), "right": str(n2)}
+                for cp, n1, n2 in self.failures
+            ],
+        }
+
 
 def complete(system: RewriteSystem, degree_bound: int) -> tuple[RewriteSystem, ConfluenceReport]:
     """Knuth-Bendix style completion up to ``degree_bound``.
@@ -329,9 +341,10 @@ def complete(system: RewriteSystem, degree_bound: int) -> tuple[RewriteSystem, C
     Scans the critical pairs in order and normalizes each pair's difference.
     A zero difference joins the pair.  Otherwise the difference is oriented
     into a new rule (leading word -> lower terms) if its leading coefficient
-    is a unit of R_n, and the scan restarts; if not, the pair is a failure,
-    reported with nf(left) and nf(right) = nf(left) - nf(difference).  Sound
-    because every added rule is a consequence of the existing ones.
+    is a unit of R_n, the system is extended by it and the scan restarts; if
+    not, the pair is a failure, reported with nf(left) and nf(right) =
+    nf(left) - nf(difference).  Sound because every added rule is a
+    consequence of the existing ones.
 
     A joined pair is not normalized again.  ``normal_form`` is linear, since
     the fate of a word depends only on the word, and its redex search tries
@@ -342,13 +355,10 @@ def complete(system: RewriteSystem, degree_bound: int) -> tuple[RewriteSystem, C
     below its leading word, so cannot contain it.  Failures are examined
     again in every pass; later rules may join them.
     """
-    rules = list(system.rules)
-    added: list[Rule] = []
+    sysx = system
     joined: set[CriticalPair] = set()
     while True:
-        sysx = RewriteSystem(system.arity, tuple(rules))
-        report = ConfluenceReport(added_rules=added)
-        progressed = False
+        joinable, failures = [], []
         for cp in critical_pairs(sysx, degree_bound):
             if cp not in joined:
                 diff = sysx.normal_form(cp.left - cp.right)
@@ -356,14 +366,13 @@ def complete(system: RewriteSystem, degree_bound: int) -> tuple[RewriteSystem, C
                     rule = Rule.orient(diff)
                     if rule is None:
                         n1 = sysx.normal_form(cp.left)
-                        report.failures.append((cp, n1, n1 - diff))
+                        failures.append((cp, n1, n1 - diff))
                         continue
-                    rules.append(rule)
-                    added.append(rule)
+                    sysx = RewriteSystem(sysx.arity, (*sysx.rules, rule))
                     joined.add(cp)
-                    progressed = True
                     break
                 joined.add(cp)
-            report.joinable.append(cp)
-        if not progressed:
-            return sysx, report
+            joinable.append(cp)
+        else:
+            added = list(sysx.rules[len(system.rules) :])
+            return sysx, ConfluenceReport(joinable, failures, added, degree_bound)
