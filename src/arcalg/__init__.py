@@ -19,7 +19,6 @@ from .ring import (
     delta,
     loop_scalar,
     one,
-    parse_poly,
     puncture_loop_scalar,
     v_power,
     zero,

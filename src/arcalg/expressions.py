@@ -13,7 +13,9 @@ noncommutative concatenation.  The generator alphabet is supplied by the
 caller (for example a, a1..a3, g1..g3 depending on the surface); with an
 empty alphabet the grammar parses ring scalars.
 
-Errors carry the byte offset of the offending token.
+Errors carry the byte offset of the offending token.  No product or power
+may form more than ``EXPANSION_BUDGET`` letters and coefficient monomials
+before like terms are collected; a larger one is refused at its operator.
 """
 
 from __future__ import annotations
@@ -35,6 +37,11 @@ class ParseError(ValueError):
 
 _SYMBOLS = "+-*^()/"
 
+# The most letters plus coefficient monomials that one product may form,
+# counted before like terms are collected: the work of the product is
+# proportional to it.  (g1+g2+g3)^8, 59049, fits.
+EXPANSION_BUDGET = 65_536
+
 
 def _int(text: str, position: int) -> int:
     """The value of a digit string; too many digits for ``int`` is an error."""
@@ -42,6 +49,19 @@ def _int(text: str, position: int) -> int:
         return int(text)
     except ValueError:  # over the interpreter's limit on converted digits
         raise ParseError(f"integer of {len(text)} digits is too long", position) from None
+
+
+def _product(x: AlgElement, y: AlgElement, position: int) -> AlgElement:
+    """x*y, refused if it forms more than ``EXPANSION_BUDGET`` letters and monomials."""
+    nx, ny = len(x._terms), len(y._terms)
+    letters = sum(map(len, x._terms)) * ny + nx * sum(map(len, y._terms))
+    monomials = sum(map(len, x._terms.values())) * sum(map(len, y._terms.values()))
+    size = letters + monomials
+    if size > EXPANSION_BUDGET:
+        raise ParseError(
+            f"product of {size} letters and monomials is over EXPANSION_BUDGET = {EXPANSION_BUDGET}", position
+        )
+    return x * y
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -57,16 +77,16 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
             tokens.append(("symbol", ch, i))
             i += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and text[j].isdecimal():
                 j += 1
             tokens.append(("int", text[i:j], i))
             i = j
             continue
         if ch.isalpha():
             j = i + 1
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and text[j].isdecimal():
                 j += 1
             tokens.append(("name", text[i:j], i))
             i = j
@@ -127,7 +147,7 @@ class _Parser:
         value = self.factor()
         while (tok := self.peek()) is not None and tok[1] == "*":
             self.next()
-            value = value * self.factor()
+            value = _product(value, self.factor(), tok[2])
         return value
 
     def factor(self) -> AlgElement:
@@ -162,8 +182,10 @@ class _Parser:
         if half:
             return AlgElement.from_scalar(ring.a_half_power(whole, self.arity))
         try:
-            return base**whole
-        except ValueError as exc:
+            return base.power(whole, lambda x, y: _product(x, y, tok[2]))
+        except ParseError:
+            raise
+        except ValueError as exc:  # a negative power of a non-unit
             raise ParseError(str(exc), tok[2]) from None
 
     def exponent(self, allow_half: bool) -> tuple[int, bool]:

@@ -11,7 +11,10 @@ regardless of the term's coefficient.
 left-hand sides; ``complete`` resolves them Knuth-Bendix style up to a
 degree bound, orienting each non-joinable difference whose leading
 coefficient is a unit of R_n into a new rule and reporting the rest as
-failures.
+failures.  It also counts the critical pairs of the final system above the
+bound, which it leaves unexamined; its report calls the system confluent
+only when there are neither failures nor unexamined pairs (Bergman's
+diamond lemma).
 
 Systems are immutable after construction.  ``normal_form`` is pure, so it
 may run concurrently on many inputs.  It takes the steps of ``reduce_once``
@@ -267,6 +270,23 @@ class CriticalPair:
         return f"{word_str(self.word)}: {self.left}  vs  {self.right}"
 
 
+def _ambiguities(system: RewriteSystem):
+    """``(word, ia, ib, pos)`` for each overlap and containment ambiguity, at
+    any length: rule ia applies to ``word`` at 0 and rule ib at ``pos``."""
+    for ia, ra in enumerate(system.rules):
+        for ib, rb in enumerate(system.rules):
+            la, lb = ra.lhs, rb.lhs
+            # Proper suffix/prefix overlaps: la = u s, lb = s w with s nonempty.
+            for k in range(1, min(len(la), len(lb))):
+                if la[-k:] == lb[:k]:
+                    yield la + lb[k:], ia, ib, len(la) - k
+            # Containment: lb a proper subword of la, or equal to it (counted once).
+            if len(lb) < len(la) or (la == lb and ia < ib):
+                for pos in range(len(la) - len(lb) + 1):
+                    if la[pos : pos + len(lb)] == lb:
+                        yield la, ia, ib, pos
+
+
 def critical_pairs(system: RewriteSystem, max_overlap_len: int) -> list[CriticalPair]:
     """All overlap and containment ambiguities with word length <= the bound.
 
@@ -276,26 +296,11 @@ def critical_pairs(system: RewriteSystem, max_overlap_len: int) -> list[Critical
     max_lhs = max((len(r.lhs) for r in system.rules), default=0)
     if system.rules and max_overlap_len < max_lhs:
         raise ValueError(f"max_overlap_len {max_overlap_len} < longest lhs {max_lhs}")
-    pairs: list[CriticalPair] = []
-    for ia, ra in enumerate(system.rules):
-        for ib, rb in enumerate(system.rules):
-            la, lb = ra.lhs, rb.lhs
-            # Proper suffix/prefix overlaps: la = u s, lb = s w with s nonempty.
-            for k in range(1, min(len(la), len(lb))):
-                if la[-k:] == lb[:k]:
-                    word = la + lb[k:]
-                    if len(word) <= max_overlap_len:
-                        left = system._reduct(word, ia, 0)
-                        right = system._reduct(word, ib, len(la) - k)
-                        pairs.append(CriticalPair(word, left, right))
-            # Containment: lb a proper subword of la, or equal to it (counted once).
-            if (len(lb) < len(la) or (la == lb and ia < ib)) and len(la) <= max_overlap_len:
-                for pos in range(len(la) - len(lb) + 1):
-                    if la[pos : pos + len(lb)] == lb:
-                        left = system._reduct(la, ia, 0)
-                        right = system._reduct(la, ib, pos)
-                        pairs.append(CriticalPair(la, left, right))
-    return pairs
+    return [
+        CriticalPair(word, system._reduct(word, ia, 0), system._reduct(word, ib, pos))
+        for word, ia, ib, pos in _ambiguities(system)
+        if len(word) <= max_overlap_len
+    ]
 
 
 @dataclass
@@ -306,14 +311,17 @@ class ConfluenceReport:
     failures: list[tuple[CriticalPair, AlgElement, AlgElement]] = field(default_factory=list)
     added_rules: list[Rule] = field(default_factory=list)
     degree_bound: int = 0
+    unexamined: int = 0  # critical pairs of the final system above the degree bound
 
     @property
     def confluent(self) -> bool:
-        return not self.failures
+        """Proved by the diamond lemma: every critical pair was examined and joins."""
+        return not self.failures and not self.unexamined
 
     def lines(self) -> list[str]:
         out = [
             f"critical pairs joinable: {len(self.joinable)}",
+            f"critical pairs unexamined (longer than {self.degree_bound}): {self.unexamined}",
             f"rules added: {len(self.added_rules)}",
             f"failures: {len(self.failures)}",
         ]
@@ -327,6 +335,7 @@ class ConfluenceReport:
         return {
             "degree_bound": self.degree_bound,
             "joinable": len(self.joinable),
+            "unexamined": self.unexamined,
             "added_rules": [str(r) for r in self.added_rules],
             "failures": [
                 {"word": word_str(cp.word), "left": str(n1), "right": str(n2)}
@@ -354,6 +363,9 @@ def complete(system: RewriteSystem, degree_bound: int) -> tuple[RewriteSystem, C
     from is joined by it: the other words of the normalized difference are
     below its leading word, so cannot contain it.  Failures are examined
     again in every pass; later rules may join them.
+
+    The report counts the ambiguities of the final system longer than
+    ``degree_bound`` as ``unexamined``, without building their reducts.
     """
     sysx = system
     joined: set[CriticalPair] = set()
@@ -375,4 +387,5 @@ def complete(system: RewriteSystem, degree_bound: int) -> tuple[RewriteSystem, C
             joinable.append(cp)
         else:
             added = list(sysx.rules[len(system.rules) :])
-            return sysx, ConfluenceReport(joinable, failures, added, degree_bound)
+            unexamined = sum(len(word) > degree_bound for word, *_ in _ambiguities(sysx))
+            return sysx, ConfluenceReport(joinable, failures, added, degree_bound, unexamined)

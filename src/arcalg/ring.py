@@ -34,7 +34,6 @@ __all__ = [
     "delta",
     "loop_scalar",
     "puncture_loop_scalar",
-    "parse_poly",
 ]
 
 
@@ -204,18 +203,21 @@ class _SparseTerms:
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
-        if not isinstance(k, int):
-            return NotImplemented
-        if k < 0:
-            return self._unit_inverse() ** (-k)
+        return self.power(k) if isinstance(k, int) else NotImplemented
+
+    def power(self, k: int, mul=operator.mul):
+        """``self**k`` by squaring, each product formed by ``mul(x, y)``: at most
+        popcount(|k|) + bit_length(|k|) - 1 products, none above the k-th power."""
+        base = self if k >= 0 else self._unit_inverse()
+        k = abs(k)
         result = self._identity()
-        base = self
-        while k:
+        while True:
             if k & 1:
-                result = result * base
-            base = base * base
+                result = mul(result, base)
             k >>= 1
-        return result
+            if not k:
+                return result
+            base = mul(base, base)
 
     # -- identity -----------------------------------------------------------
 
@@ -377,10 +379,3 @@ def loop_scalar(arity: int) -> LaurentPoly:
 def puncture_loop_scalar(arity: int) -> LaurentPoly:
     """Value of a loop enclosing exactly one puncture: A + A^-1."""
     return a_power(1, arity) + a_power(-1, arity)
-
-
-def parse_poly(text: str, arity: int) -> LaurentPoly:
-    """Parse the canonical scalar grammar; inverse of ``str`` on R_n values."""
-    from . import expressions
-
-    return expressions.parse_scalar(text, arity)

@@ -77,6 +77,28 @@ def test_normalize_digit_limit_is_a_usage_error(capsys, argv, offset):
     assert err.startswith("error: ") and err.count("\n") == 1
     if offset is not None:
         assert f"(at offset {offset})" in err
+    else:
+        assert err == "error: the result holds an integer too long to print\n"
+
+
+@pytest.mark.parametrize(
+    "surface, expression, offset",
+    [
+        ("0,2", "a^100000", 1),
+        ("0,3", "a1^100000", 2),
+        ("0,2", "(A+1)^100000", 5),
+        ("1,0", "(g1+g2+g3)^16", 10),
+        ("1,0", "*".join(["(g1+g2+g3)"] * 16), 87),
+    ],
+    ids=["a", "a1", "A+1", "g-power", "g-product"],
+)
+def test_normalize_expansion_budget_is_a_usage_error(capsys, surface, expression, offset):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "normalize", "--surface", surface, expression)
+    assert time.perf_counter() - start < 5
+    assert (code, out) == (2, "")
+    assert err.startswith("error: product of ") and err.count("\n") == 1
+    assert err.endswith(f" over EXPANSION_BUDGET = 65536 (at offset {offset})\n")
 
 
 def test_normalize_prints_4300_digits(capsys):
@@ -115,10 +137,12 @@ def test_complete_sphere(capsys):
 
 
 def test_complete_torus_json(capsys):
+    # no failures, but pairs above the bound are unexamined: not proved confluent
     code, out, _ = run(capsys, "complete", "--surface", "1,1", "--json")
-    assert code == 0
+    assert code == 1
     payload = json.loads(out)
     assert payload["failures"] == []
+    assert payload["unexamined"] == 4
     assert len(payload["added_rules"]) >= 1
 
 

@@ -4,9 +4,11 @@ import random
 
 import pytest
 
+from arcalg import expressions
 from arcalg import (
     AlgElement,
     Generator,
+    LaurentPoly,
     ParseError,
     Surface,
     a_half_power,
@@ -16,7 +18,6 @@ from arcalg import (
     delta,
     generator_alphabet,
     parse_element,
-    parse_poly,
     parse_scalar,
     v_power,
 )
@@ -75,6 +76,7 @@ def test_scalar_grammar():
     assert parse_scalar("A^(1/2) + A^(-1/2)", 0) == delta(0)
     assert parse_scalar("2*A^3*v1^-2", 2) == const(2, 2) * a_power(3, 2) * v_power(1, 2, -2)
     assert parse_scalar("(A - A^-1)^2", 0) == (a_power(1, 0) - a_power(-1, 0)) ** 2
+    assert parse_scalar("A + 2 + A^-1", 0) == delta(0) ** 2
 
 
 def test_sphere2_square_scalar():
@@ -85,8 +87,37 @@ def test_sphere2_square_scalar():
     assert got == expected
 
 
-def test_parse_poly_convenience():
-    assert parse_poly("A + 2 + A^-1", 0) == delta(0) ** 2
+def test_power_squares_only_while_bits_remain(monkeypatch):
+    # x**k takes at most popcount(k) + bit_length(k) - 1 products and forms
+    # no power above x**k: (g1+g2+g3)^8 once also formed the 16th power.
+    degrees = []
+    mul = LaurentPoly.__mul__
+
+    def recording(self, other):
+        product = mul(self, other)
+        degrees.append(max(m.half_a for m in product._terms))
+        return product
+
+    monkeypatch.setattr(LaurentPoly, "__mul__", recording)
+    for k in range(1, 70):
+        degrees.clear()
+        assert a_half_power(1, 0) ** k == a_half_power(k, 0)
+        assert len(degrees) <= bin(k).count("1") + k.bit_length() - 1
+        assert max(degrees) == k
+    monkeypatch.undo()
+    typed = "*".join(["(g1+g2+g3)"] * 8)
+    assert parse_element("(g1+g2+g3)^8", 1, ABG) == parse_element(typed, 1, ABG)
+
+
+def test_expansion_budget_refuses_at_the_operator(monkeypatch):
+    # a1^k forms k letters and one monomial in its last product.
+    monkeypatch.setattr(expressions, "EXPANSION_BUDGET", 10)
+    assert parse_element("a1^9", 3, AB3) == AlgElement.from_word((A1,) * 9, 3)
+    assert parse_scalar("(A+1)^5", 0) == (a_power(1, 0) + 1) ** 5
+    for text, offset in (("a1^10", 2), ("a1^9*a1", 4), ("(A+1)^6", 5)):
+        with pytest.raises(ParseError, match="over EXPANSION_BUDGET = 10 ") as exc:
+            parse_element(text, 3, AB3)
+        assert exc.value.position == offset
 
 
 def test_half_power_only_on_a():
@@ -108,6 +139,7 @@ def test_half_power_only_on_a():
         ("A^(1", "unexpected end of input (at offset 4)"),
         ("A^(x)", "expected integer exponent, found 'x' (at offset 3)"),
         ("A^(-)", "expected integer exponent, found ')' (at offset 4)"),
+        ("a1^²", "unexpected character '²' (at offset 3)"),
     ],
 )
 def test_exponent_forms(text, expected):

@@ -27,10 +27,10 @@ COMMANDS = {
     "verify-1-1-i-plus-1.txt": (["verify", "--surface", "1,1", "--variant", "i-plus-1"], 1),
     "complete-0-2.json": (["complete", "--surface", "0,2", "--json"], 0),
     "complete-0-3.json": (["complete", "--surface", "0,3", "--json"], 0),
-    "complete-1-0.json": (["complete", "--surface", "1,0", "--json"], 0),
-    "complete-1-1.json": (["complete", "--surface", "1,1", "--json"], 0),
-    "complete-1-0-bound-11.json": (["complete", "--surface", "1,0", "--degree-bound", "11", "--json"], 0),
-    "complete-1-1-bound-11.json": (["complete", "--surface", "1,1", "--degree-bound", "11", "--json"], 0),
+    "complete-1-0.json": (["complete", "--surface", "1,0", "--json"], 1),
+    "complete-1-1.json": (["complete", "--surface", "1,1", "--json"], 1),
+    "complete-1-0-bound-11.json": (["complete", "--surface", "1,0", "--degree-bound", "11", "--json"], 1),
+    "complete-1-1-bound-11.json": (["complete", "--surface", "1,1", "--degree-bound", "11", "--json"], 1),
     "complete-1-1-i-plus-1-bound-7.json": (
         ["complete", "--surface", "1,1", "--variant", "i-plus-1", "--degree-bound", "7", "--json"],
         1,

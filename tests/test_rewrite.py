@@ -395,6 +395,7 @@ def test_critical_pair_of_a_contained_lhs():
     assert done.rules == raw.rules + tuple(report.added_rules)
     assert report.lines() == [
         "critical pairs joinable: 1",
+        "critical pairs unexamined (longer than 3): 0",
         "rules added: 1",
         "failures: 0",
         "  added x*v*z -> u",
@@ -430,6 +431,20 @@ def test_complete_torus_reports_added_rules():
     for rule in report.added_rules:
         lhs = AlgElement.from_word(rule.lhs, 1)
         assert done.normal_form(lhs - rule.rhs).is_zero
+
+
+@pytest.mark.parametrize("bound", [6, 11])
+def test_complete_counts_the_pairs_above_the_bound(bound):
+    # Only a completion that leaves no critical pair unexamined is confluent.
+    unexamined = {}
+    for surface in SURFACES:
+        alg = algebra_for(surface)
+        done, report = complete(RewriteSystem(alg.arity, alg.rules), bound)
+        longer = [cp for cp in critical_pairs(done, 2 * bound) if len(cp.word) > bound]
+        assert report.unexamined == len(longer)
+        assert report.confluent == (not report.failures and not longer)
+        unexamined[str(surface)] = report.unexamined
+    assert unexamined == {"F0,2": 0, "F0,3": 0, "F1,0": 4, "F1,1": 4}
 
 
 @pytest.mark.parametrize("surface", [Surface(1, 0), Surface(1, 1)], ids=["F1,0", "F1,1"])
