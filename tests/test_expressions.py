@@ -76,6 +76,9 @@ def test_scalar_grammar():
     assert parse_scalar("A^(1/2) + A^(-1/2)", 0) == delta(0)
     assert parse_scalar("2*A^3*v1^-2", 2) == const(2, 2) * a_power(3, 2) * v_power(1, 2, -2)
     assert parse_scalar("(A - A^-1)^2", 0) == (a_power(1, 0) - a_power(-1, 0)) ** 2
+
+
+def test_parse_poly_convenience():
     assert parse_scalar("A + 2 + A^-1", 0) == delta(0) ** 2
 
 
