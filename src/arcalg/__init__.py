@@ -6,7 +6,8 @@ evaluates planar framed-curve diagrams on punctured spheres by skein
 resolution, and verifies the presentations, the left-regular representation,
 and the agreement between the diagram engine and the presentations.  All
 arithmetic is exact: integer Laurent polynomials in A^(1/2) and the
-puncture variables, and rational plane geometry.
+puncture variables, and plane geometry on integers, in one frame per
+diagram (fractions remain only in documents, points and crossing positions).
 """
 
 from .ring import (

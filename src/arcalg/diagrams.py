@@ -6,7 +6,8 @@ piecewise-linear with exact rational coordinates: closed polylines avoid
 the punctures, open polylines begin and end exactly at puncture positions,
 at pairwise distinct integer heights per puncture.  Every transverse double
 point carries over/under data; general position (no tangencies, no triple
-points, no crossings at punctures) is enforced exactly.
+points, no crossings at punctures) is enforced exactly, on integers (see
+``_frame``); fractions remain at the boundary only: points and crossings.
 
 The evaluator is Kauffman's state model, extended by the puncture-skein and
 puncture-framing relations of the arc algebra.  Exact geometry runs once
@@ -58,13 +59,14 @@ import re
 import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cmp_to_key
 from itertools import count
 from operator import itemgetter
 from typing import Mapping, NamedTuple, Sequence
 
 from . import presentations, ring
 from .freealg import AlgElement, Generator, Word
-from .geometry import Dir, Point, Vec, cross, dot, on_segment_interior, segment_hit, vadd, vsub
+from .geometry import Point, Vec, cross, dot, frame, on_segment_interior, segment_hit, vadd, vsub
 from .geometry import winding_number  # noqa: F401  (unused here; the attribute bench/tracing.py wraps)
 from .ring import LaurentPoly, Monomial
 
@@ -107,10 +109,6 @@ class Component:
     def segment_count(self) -> int:
         return len(self.points) if self.closed else len(self.points) - 1
 
-    def segment(self, k: int) -> tuple[Point, Point]:
-        pts = self.points
-        return pts[k], pts[(k + 1) % len(pts)]
-
 
 CrossKey = tuple[tuple[int, int], tuple[int, int]]
 
@@ -125,6 +123,7 @@ class Diagram:
         object.__setattr__(self, "components", tuple(self.components))
         object.__setattr__(self, "over", dict(self.over or {}))
         object.__setattr__(self, "_geometry", None)  # what _crossings found
+        object.__setattr__(self, "_frame", None)  # what _frame found
 
 
 @dataclass(frozen=True)
@@ -152,31 +151,30 @@ def _adjacent(c: Component, k1: int, k2: int) -> bool:
     return abs(k1 - k2) == 1
 
 
-def _terminal_at(c: Component, k: int, point: Point) -> bool:
-    """Does segment k meet ``point`` at a legal open-endpoint of its component?"""
-    last = c.segment_count() - 1
-    return not c.closed and (k == 0 and c.points[0] == point or k == last and c.points[-1] == point)
+def _frame(d: Diagram) -> tuple[int, tuple[tuple[Vec, ...], ...]]:
+    """``geometry.frame`` of d's components, kept like ``_geometry``."""
+    if d._frame is None:
+        object.__setattr__(d, "_frame", frame(c.points for c in d.components))
+    return d._frame
 
 
-def _scan(comps: Sequence[Component], n: int, group=None, known=()) -> tuple[list[str], list[_XC]]:
-    """General-position errors and transverse crossings among segments.
+def _scan(d: Diagram, group=None, known=()) -> tuple[list[str], list[_XC]]:
+    """General-position errors and transverse crossings among d's segments.
 
     Two segments with one nonzero ``group(sid, k)`` are not compared: their
     crossings are among ``known``, which join the result.  Segments of group
     1 stay in place and are not tested against the punctures either."""
-    errors: list[str] = []
-    crossings: list[_XC] = []
-    punctures = {puncture_position(i): i for i in range(1, n + 1)}
-    segs: list[tuple[int, int, Point, Point, tuple, int]] = []
-    for sid, c in enumerate(comps):
+    errors, crossings = [], []
+    comps, (scale, frames) = d.components, _frame(d)
+    punctures = {(i * scale, 0): i for i in range(1, d.n + 1)}
+    # (sid, k, point) where segment k of an open curve legally ends at point
+    ends = {(sid, k, pts[i]) for sid, (c, pts) in enumerate(zip(comps, frames)) if not c.closed
+            for k, i in ((0, 0), (len(pts) - 2, -1))}
+    segs: list[tuple[int, int, Vec, Vec, tuple, int]] = []
+    for sid, (c, pts) in enumerate(zip(comps, frames)):
         for k in range(c.segment_count()):
-            a, b = c.segment(k)
-            box = (
-                a[0] if a[0] <= b[0] else b[0],
-                a[0] if a[0] >= b[0] else b[0],
-                a[1] if a[1] <= b[1] else b[1],
-                a[1] if a[1] >= b[1] else b[1],
-            )
+            a, b = pts[k], pts[(k + 1) % len(pts)]
+            box = (*sorted((a[0], b[0])), *sorted((a[1], b[1])))
             segs.append((sid, k, a, b, box, group(sid, k) if group else 0))
 
     total = len(segs)
@@ -188,7 +186,7 @@ def _scan(comps: Sequence[Component], n: int, group=None, known=()) -> tuple[lis
                 if on_segment_interior(q, a1, b1):
                     errors.append(f"segment ({sid1},{k1}) passes through puncture {qi}")
                 for endpoint in (a1, b1):
-                    if endpoint == q and not _terminal_at(comp1, k1, endpoint):
+                    if endpoint == q and (sid1, k1, q) not in ends:
                         errors.append(f"vertex of component {sid1} lies at puncture {qi}")
         for idx2 in range(idx1 + 1, total):
             sid2, k2, a2, b2, box2, g2 = segs[idx2]
@@ -207,19 +205,13 @@ def _scan(comps: Sequence[Component], n: int, group=None, known=()) -> tuple[lis
                 continue
             if hit.kind == "overlap":
                 errors.append(f"segments ({sid1},{k1}) and ({sid2},{k2}) overlap")
-            elif hit.kind == "touch":
-                p = hit.point
-                if (
-                    p in punctures
-                    and _terminal_at(comp1, k1, p)
-                    and _terminal_at(comps[sid2], k2, p)
-                ):
-                    continue  # distinct ends meeting at their shared puncture
-                errors.append(
-                    f"non-transverse contact of ({sid1},{k1}) and ({sid2},{k2}) at {p}"
-                )
-            else:
-                crossings.append((hit.point, (sid1, k1), (sid2, k2)))
+                continue
+            p = hit.point
+            if hit.kind == "cross":
+                crossings.append(((p[0] / scale, p[1] / scale), (sid1, k1), (sid2, k2)))
+            elif not (p in punctures and (sid1, k1, p) in ends and (sid2, k2, p) in ends):
+                p = (p[0] / scale, p[1] / scale)  # a touch, unless distinct ends meet at their shared puncture
+                errors.append(f"non-transverse contact of ({sid1},{k1}) and ({sid2},{k2}) at {p}")
     crossings += known
     crossings.sort(key=itemgetter(1, 2))  # (a no-op without ``known``)
     seen: set[Point] = set()
@@ -254,14 +246,10 @@ def _structural_errors(d: Diagram) -> list[str]:
                     errors.append(f"component {ci}: {side} puncture {att.puncture} out of range")
                     continue
                 if endpoint != puncture_position(att.puncture):
-                    errors.append(
-                        f"component {ci}: {side} point {endpoint} is not at puncture {att.puncture}"
-                    )
+                    errors.append(f"component {ci}: {side} point {endpoint} is not at puncture {att.puncture}")
                 hs = heights.setdefault(att.puncture, set())
                 if att.height in hs:
-                    errors.append(
-                        f"puncture {att.puncture}: duplicate endpoint height {att.height}"
-                    )
+                    errors.append(f"puncture {att.puncture}: duplicate endpoint height {att.height}")
                 hs.add(att.height)
         for k in range(c.segment_count()):
             if pts[k] == pts[(k + 1) % len(pts)]:
@@ -275,7 +263,7 @@ def _crossings(d: Diagram) -> tuple[tuple[str, ...], tuple[_XC, ...]]:
     only on ``n`` and the components, so each diagram keeps them."""
     if d._geometry is None:
         errors = _structural_errors(d)
-        geometry = (errors, ()) if errors else _scan(d.components, d.n)
+        geometry = (errors, ()) if errors else _scan(d)
         object.__setattr__(d, "_geometry", tuple(map(tuple, geometry)))
     return d._geometry
 
@@ -284,19 +272,12 @@ def validate(d: Diagram) -> list[str]:
     """All general-position and attachment violations; [] means valid.  The
     over/under entries are checked on every call: ``d.over`` is mutable."""
     errors, crossings = _crossings(d)
-    errors = list(errors)
     if errors:
-        return errors
-    found = {(xc[1], xc[2]) for xc in crossings}
-    declared = set(d.over)
-    for key in sorted(declared - found):
-        errors.append(f"over/under entry {key} matches no crossing")
-    for key in sorted(found - declared):
-        errors.append(f"crossing {key} has no over/under entry")
-    for key, val in d.over.items():
-        if val not in ("a", "b"):
-            errors.append(f"over/under value for {key} must be 'a' or 'b'")
-    return errors
+        return list(errors)
+    found, declared = {(xc[1], xc[2]) for xc in crossings}, set(d.over)
+    errors = [f"over/under entry {key} matches no crossing" for key in sorted(declared - found)]
+    errors += [f"crossing {key} has no over/under entry" for key in sorted(found - declared)]
+    return errors + [f"over/under value for {k} must be 'a' or 'b'" for k, v in d.over.items() if v not in ("a", "b")]
 
 
 def diagram_crossings(d: Diagram) -> list[tuple[CrossKey, Point]]:
@@ -312,7 +293,7 @@ def diagram_crossings(d: Diagram) -> list[tuple[CrossKey, Point]]:
 # ---------------------------------------------------------------------------
 
 
-def _ray_crossing(a: Point, b: Point, q: Point) -> int:
+def _ray_crossing(a: Vec, b: Vec, q: Vec) -> int:
     """Signed crossing of segment a->b with the ray from q, +1 counterclockwise.
 
     The ray goes straight up from q, turned clockwise by less than any angle
@@ -325,12 +306,13 @@ def _ray_crossing(a: Point, b: Point, q: Point) -> int:
     return s if s * cross(vsub(b, a), vsub(q, a)) > 0 else 0
 
 
-def _angle(r: Vec) -> Fraction:
-    """A monotone stand-in in [0, 4) for the counterclockwise angle of r
-    from the positive x-axis."""
-    x, y = r
-    t = Fraction(x, abs(x) + abs(y))
-    return 1 - t if y > 0 or (y == 0 and x > 0) else 3 + t
+def _angle_order(a: tuple[Vec, int], b: tuple[Vec, int]) -> int:
+    """Compare (direction, end) pairs by the direction's counterclockwise angle
+    in [0, 2 pi), by half-plane and then by cross product, and then by end."""
+    (u, e), (v, f) = a, b
+    lower = lambda r: r[1] < 0 or r[1] == 0 and r[0] < 0
+    c = cross(v, u) if lower(u) == lower(v) else lower(u) - lower(v)
+    return (c > 0) - (c < 0) or (e > f) - (e < f)
 
 
 class _Skeleton:
@@ -389,8 +371,8 @@ def _marks(crossings: Sequence[_XC]) -> dict[tuple[int, int], list]:
 
 def _skeleton(d: Diagram, crossings: Sequence[_XC]) -> tuple[_Skeleton, _State, int]:
     """Cut a valid diagram at its crossings into edges: (skeleton, root state, packed free loops)."""
-    n = d.n
-    punctures = [puncture_position(q) for q in range(1, n + 1)]
+    n, (scale, frames) = d.n, _frame(d)
+    punctures = [(q * scale, 0) for q in range(1, n + 1)]
     sk = _Skeleton(n)
     dirs: list[Vec] = []  # the outward direction of each end
 
@@ -400,25 +382,27 @@ def _skeleton(d: Diagram, crossings: Sequence[_XC]) -> tuple[_Skeleton, _State, 
     free_loops: list[tuple[int, int]] = []
 
     def add_edge(run) -> int:
-        pts = [point for point, _, _ in run]
+        pts = [point for point, _, _, _ in run]
         counts = [sum(_ray_crossing(a, b, q) for a, b in zip(pts, pts[1:])) for q in punctures]
         e = sk.edge(counts)
-        dirs.extend((vsub(pts[1], pts[0]), vsub(pts[-2], pts[-1])))
-        for end, (_, x, key) in ((e, run[0]), (e ^ 1, run[-1])):
+        dirs.extend((run[0][3], vsub((0, 0), run[-2][3])))
+        for end, (_, x, key, _) in ((e, run[0]), (e ^ 1, run[-1])):
             if x is not None:
                 at_crossing[x].append((end, key))
         return e
 
-    for ci, c in enumerate(d.components):
-        run = []  # (point, crossing or None, segment key) in traversal order
+    for ci, (c, pts) in enumerate(zip(d.components, frames)):
+        run = []  # (point, crossing or None, segment key, its segment's direction)
         for k in range(c.segment_count()):
-            a, b = c.segment(k)
-            run.append((a, None, None))
-            on_seg = sorted(marks.get((ci, k), ()), key=lambda px: dot(vsub(px[0], a), vsub(b, a)))
-            run.extend((point, x, (ci, k)) for point, x in on_seg)
-        nodes = [i for i, (_, x, _) in enumerate(run) if x is not None]
+            a, b = pts[k], pts[(k + 1) % len(pts)]
+            ab = vsub(b, a)
+            axis = 0 if ab[0] else 1
+            run.append((a, None, None, ab))
+            on_seg = sorted(marks.get((ci, k), ()), key=lambda px: px[0][axis], reverse=ab[axis] < 0)
+            run.extend(((p[0] * scale, p[1] * scale), x, (ci, k), ab) for p, x in on_seg)
+        nodes = [i for i, (_, x, _, _) in enumerate(run) if x is not None]
         if not c.closed:
-            run.append((c.points[-1], None, None))
+            run.append((pts[-1], None, None, None))
             nodes = [0] + nodes + [len(run) - 1]
             for i, j in zip(nodes, nodes[1:]):
                 e = add_edge(run[i : j + 1])
@@ -445,7 +429,7 @@ def _skeleton(d: Diagram, crossings: Sequence[_XC]) -> tuple[_Skeleton, _State, 
                     (a_pairs if cross(dirs[o], dirs[u]) < 0 else b_pairs).append((o, u))
         sk.smoothings.append((tuple(a_pairs), tuple(b_pairs)))
     for at_p in at_puncture:
-        order = sorted([(_angle((0, 1)), -1)] + [(_angle(dirs[e]), e) for _, e in at_p])
+        order = sorted([((0, 1), -1)] + [(dirs[e], e) for _, e in at_p], key=cmp_to_key(_angle_order))
         for k, (_, e) in enumerate(order):
             sk.slot[e] = k
         sk.ray_slot.append(sk.slot.pop(-1))  # -1 stood for the ray
@@ -668,12 +652,13 @@ def _split_ends(c: Component, s: int, marks) -> tuple[Component, int]:
     return Component((pts[0], *head, *pts[1:-1], *tail, pts[-1]), False, c.start, c.end), len(head)
 
 
-def _scale(lines, points, v: Dir) -> Fraction | None:
+def _scale(lines, points, v: Vec) -> Fraction | None:
     """The largest 2^-k <= 1/16 below every t > 0 at which a point meets a
     line as the moving points move by t * v, or None if a point stays on a
     line for all t (other than the line's own ends).  A line (p, q) and a
-    point x meet where cross(q - p, x - p) = f0 + t * f1."""
-    t = Fraction(1, 16)
+    point x meet where cross(q - p, x - p) = f0 + t * f1, so first at
+    |f0 / f1| if f0 * f1 < 0."""
+    k = 4
     for p, mp, q, mq in lines:
         e = vsub(q, p)
         ev = cross(e, v)
@@ -683,14 +668,13 @@ def _scale(lines, points, v: Dir) -> Fraction | None:
             w = vsub(x, p)
             f0, f1 = cross(e, w), (mq - mp) * cross(v, w) + (mx - mp) * ev
             if f0 * f1 < 0:
-                while t >= -f0 / f1:
-                    t /= 2
+                k = max(k, (abs(f1) // abs(f0)).bit_length())  # the least k with 2^k > |f1 / f0|
             elif f0 == f1 == 0 and (x, mx) != (p, mp) and (x, mx) != (q, mq):
                 return None
-    return t
+    return Fraction(1, 1 << k)
 
 
-def _move(d1: Diagram, xc1, upper: Sequence[Component], xc2) -> tuple[Vec, tuple]:
+def _move(d1: Diagram, xc1, upper: Sequence[Component], xc2) -> tuple[Point, tuple]:
     """The move t * v of ``stack`` and the upper layer moved by it (all but
     its puncture ends); v is the first of (1, 2), (2, -1), (1, 3), ... for
     which ``_scale`` finds a t."""
@@ -702,9 +686,12 @@ def _move(d1: Diagram, xc1, upper: Sequence[Component], xc2) -> tuple[Vec, tuple
             ends = [(x, moving and x not in punctures) for x in c.points]
             points += ends
             lines += [(*ends[k], *ends[(k + 1) % len(ends)]) for k in range(c.segment_count())]
-    candidates = (u for m in count(2) for u in ((1, m), (m, -1)))
+    scale, (ints,) = frame([[p for p, _ in points]])
+    at = {p: q for (p, _), q in zip(points, ints)}
+    points, lines = [(at[x], mx) for x, mx in points], [(at[p], mp, at[q], mq) for p, mp, q, mq in lines]
+    candidates = ((scale * a, scale * b) for m in count(2) for a, b in ((1, m), (m, -1)))
     t, v = next((t, v) for v in candidates if (t := _scale(lines, points, v)) is not None)
-    delta = (t * v[0], t * v[1])
+    delta = (t * v[0] / scale, t * v[1] / scale)
     moved = (tuple(x if x in punctures else vadd(x, delta) for x in c.points) for c in upper)
     return delta, tuple(replace(c, points=pts) for c, pts in zip(upper, moved))
 
@@ -720,19 +707,20 @@ def _try_stack(d1: Diagram, d2: Diagram, shifted: tuple[Component, ...]) -> Diag
     xc1, xc2 = _crossings(d1)[1], _crossings(d2)[1]
 
     def union(upper, heads, delta, rotating):
-        over, carried = dict(d1.over), []
+        product, carried = Diagram(n, d1.components + upper, d1.over), []
+        over = product.over
         for x, (s1, k1), (s2, k2) in xc2:
             key = ((s1 + offset, k1 + heads[s1]), (s2 + offset, k2 + heads[s2]))
             carried.append((vadd(x, delta), *key))
             over[key] = d2.over[(s1, k1), (s2, k2)]
         group = lambda s, k: 1 if s < offset else 0 if (s, k) in rotating else 2
-        errors, found = _scan(d1.components + upper, n, group, xc1 + tuple(carried))
+        errors, found = _scan(product, group, xc1 + tuple(carried))
         for x, k1, k2 in found:  # d1's strand is first at a crossing between the layers
             if (k1, k2) not in over:
                 over[k1, k2] = "b"  # the upper layer is over
                 if k1[0] >= offset:
                     errors.append(f"the upper layer gained a crossing at {x}")
-        return errors, Diagram(n, d1.components + upper, over), found
+        return errors, product, found
 
     errors, product, found = union(shifted, [0] * len(shifted), (0, 0), ())
     if errors:
@@ -774,11 +762,8 @@ def stack(d1: Diagram, d2: Diagram) -> Diagram:
     h1 = [a.height for c in d1.components if not c.closed for a in (c.start, c.end)]
     h2 = [a.height for c in d2.components if not c.closed for a in (c.start, c.end)]
     shift = (max(h1) + 1 - min(h2)) if h1 and h2 else 0
-    shifted = tuple(
-        c if c.closed else replace(c, start=replace(c.start, height=c.start.height + shift),
-                                   end=replace(c.end, height=c.end.height + shift))
-        for c in d2.components
-    )
+    up = lambda a: replace(a, height=a.height + shift)
+    shifted = tuple(c if c.closed else replace(c, start=up(c.start), end=up(c.end)) for c in d2.components)
     return _try_stack(d1, d2, shifted)
 
 
@@ -824,19 +809,13 @@ def loop_component(x0, x1, y0=Fraction(-1, 2), y1=Fraction(1, 2)) -> Component:
 def diagram_to_dict(d: Diagram) -> dict:
     comps = []
     for c in d.components:
-        entry: dict = {
-            "closed": c.closed,
-            "points": [[str(x), str(y)] for x, y in c.points],
-        }
+        entry: dict = {"closed": c.closed, "points": [[str(x), str(y)] for x, y in c.points]}
         if c.start is not None:
             entry["start"] = {"puncture": c.start.puncture, "height": c.start.height}
         if c.end is not None:
             entry["end"] = {"puncture": c.end.puncture, "height": c.end.height}
         comps.append(entry)
-    over = [
-        {"a": list(ka), "b": list(kb), "over": label}
-        for (ka, kb), label in sorted(d.over.items())
-    ]
+    over = [{"a": list(ka), "b": list(kb), "over": label} for (ka, kb), label in sorted(d.over.items())]
     return {"n": d.n, "components": comps, "over_under": over}
 
 

@@ -1,4 +1,5 @@
-"""Strategy-independent reduction oracles used by the rewrite tests.
+"""Reference code: reduction oracles for the rewrite tests and rational
+plane geometry for the diagram engine's integer predicates.
 
 ``all_normal_forms`` explores every possible order of rule application and
 returns the set of irreducible results; a singleton set certifies that the
@@ -6,11 +7,18 @@ answer does not depend on the engine's reduction strategy.
 ``random_normal_form`` reduces by picking a random redex at every step.
 Both are built on the one-step primitive ``RewriteSystem.apply_at`` only,
 never on ``reduce_once``/``normal_form``.
+
+``segment_hit``, ``angle`` and ``ray_crossing`` work on points with
+fraction coordinates, as the engine did before it scaled each diagram into
+an integer frame.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from arcalg import AlgElement, RewriteSystem
+from arcalg.geometry import SegHit, cross, vsub
 from arcalg.rewrite import find_subword
 
 
@@ -53,3 +61,55 @@ def random_normal_form(system: RewriteSystem, x: AlgElement, rng) -> AlgElement:
             return x
         word, ri, pos = redexes[rng.randrange(len(redexes))]
         x = system.apply_at(x, word, ri, pos)
+
+
+def segment_hit(p1, p2, p3, p4) -> SegHit | None:
+    """Exact intersection of segments [p1,p2] and [p3,p4] with fraction
+    coordinates, classified as by ``arcalg.geometry.segment_hit``."""
+    d1 = vsub(p2, p1)
+    d2 = vsub(p4, p3)
+    denom = cross(d1, d2)
+    w = vsub(p3, p1)
+    if denom == 0:
+        if cross(d1, w) != 0:
+            return None  # parallel, distinct lines
+        # Collinear: compare 1-d parameters along d1.
+        axis = 0 if d1[0] != 0 else 1
+        t3 = Fraction(p3[axis] - p1[axis]) / d1[axis]
+        t4 = Fraction(p4[axis] - p1[axis]) / d1[axis]
+        lo, hi = min(t3, t4), max(t3, t4)
+        inter_lo, inter_hi = max(Fraction(0), lo), min(Fraction(1), hi)
+        if inter_lo > inter_hi:
+            return None
+        if inter_lo == inter_hi:
+            return SegHit("touch", (p1[0] + inter_lo * d1[0], p1[1] + inter_lo * d1[1]))
+        return SegHit("overlap")
+    t = Fraction(cross(w, d2)) / denom
+    u = Fraction(cross(w, d1)) / denom
+    if not (0 <= t <= 1 and 0 <= u <= 1):
+        return None
+    x = (p1[0] + t * d1[0], p1[1] + t * d1[1])
+    if 0 < t < 1 and 0 < u < 1:
+        return SegHit("cross", x)
+    return SegHit("touch", x)
+
+
+def angle(r) -> Fraction:
+    """A monotone stand-in in [0, 4) for the counterclockwise angle of r
+    from the positive x-axis."""
+    x, y = r
+    t = Fraction(x, abs(x) + abs(y))
+    return 1 - t if y > 0 or (y == 0 and x > 0) else 3 + t
+
+
+def ray_crossing(a, b, q, tilt=Fraction(1, 10**30)) -> int:
+    """Signed crossing of segment a->b with the ray from q in direction
+    (tilt, 1), +1 counterclockwise, solved as two lines meeting.  With
+    ``tilt`` below any slope between the points, this is the fixed ray
+    (straight up, turned clockwise by less than any angle)."""
+    r, d, w = (tilt, Fraction(1)), vsub(b, a), vsub(a, q)
+    det = cross(r, d)
+    if det == 0:
+        return 0
+    s, u = cross(w, d) / det, cross(w, r) / det  # q + s * r == a + u * d
+    return (1 if det > 0 else -1) if s > 0 and 0 <= u <= 1 else 0

@@ -2,7 +2,9 @@
 
 Diagrams are random rational polylines kept when they pass ``validate``:
 n in {0, 2, 3}, at most four crossings, over/under chosen at random.
-Hypothesis runs derandomized, so every run checks the same examples.
+Hypothesis runs derandomized, so every run checks the same examples.  The
+same drawing, driven by a fixed ``Random``, gives the corpus whose results
+are pinned by a hash.
 """
 
 import hashlib
