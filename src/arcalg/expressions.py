@@ -15,11 +15,13 @@ empty alphabet the grammar parses ring scalars.
 
 Errors carry the byte offset of the offending token.  No product or power
 may form more than ``EXPANSION_BUDGET`` letters and coefficient monomials
-before like terms are collected; a larger one is refused at its operator.
+before like terms are collected, or coefficients of more than
+``COEFFICIENT_BITS_BUDGET`` bits; a larger one is refused at its operator.
 """
 
 from __future__ import annotations
 
+import sys
 from typing import Mapping
 
 from . import ring
@@ -41,6 +43,11 @@ _SYMBOLS = "+-*^()/"
 # counted before like terms are collected: the work of the product is
 # proportional to it.  (g1+g2+g3)^8, 59049, fits.
 EXPANSION_BUDGET = 65_536
+# The most bits a coefficient of one product may have, bounded before it is
+# computed: 8 > 2 log2(10) per digit the interpreter prints (4300 unless set
+# otherwise; 0 sets no budget).  So a result up to about twice that long
+# (2^20000) is still computed, and then refused as too long to print.
+COEFFICIENT_BITS_BUDGET = 8 * sys.get_int_max_str_digits()
 
 
 def _int(text: str, position: int) -> int:
@@ -52,7 +59,7 @@ def _int(text: str, position: int) -> int:
 
 
 def _product(x: AlgElement, y: AlgElement, position: int) -> AlgElement:
-    """x*y, refused if it forms more than ``EXPANSION_BUDGET`` letters and monomials."""
+    """x*y, refused if over ``EXPANSION_BUDGET`` or ``COEFFICIENT_BITS_BUDGET``."""
     nx, ny = len(x._terms), len(y._terms)
     letters = sum(map(len, x._terms)) * ny + nx * sum(map(len, y._terms))
     monomials = sum(map(len, x._terms.values())) * sum(map(len, y._terms.values()))
@@ -60,6 +67,12 @@ def _product(x: AlgElement, y: AlgElement, position: int) -> AlgElement:
     if size > EXPANSION_BUDGET:
         raise ParseError(
             f"product of {size} letters and monomials is over EXPANSION_BUDGET = {EXPANSION_BUDGET}", position
+        )
+    bits = (monomials - 1).bit_length() + sum(  # bits(x) + bits(y) + bits(terms summed)
+        max((c.bit_length() for p in z._terms.values() for c in p._terms.values()), default=0) for z in (x, y))
+    if 0 < COEFFICIENT_BITS_BUDGET < bits:
+        raise ParseError(
+            f"product of {bits}-bit coefficients is over COEFFICIENT_BITS_BUDGET = {COEFFICIENT_BITS_BUDGET}", position
         )
     return x * y
 

@@ -101,6 +101,16 @@ def test_normalize_expansion_budget_is_a_usage_error(capsys, surface, expression
     assert err.endswith(f" over EXPANSION_BUDGET = 65536 (at offset {offset})\n")
 
 
+@pytest.mark.parametrize("expression", ["3^3000000", "3^100000 - 3^100000"])
+def test_normalize_coefficient_budget_is_a_usage_error(capsys, expression):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "normalize", "--surface", "0,2", expression)
+    assert time.perf_counter() - start < 0.5  # the power is never built
+    assert (code, out) == (2, "")
+    assert err.startswith("error: product of ") and err.count("\n") == 1
+    assert err.endswith("-bit coefficients is over COEFFICIENT_BITS_BUDGET = 34400 (at offset 1)\n")
+
+
 def test_normalize_prints_4300_digits(capsys):
     digits = "9" * 4300
     code, out, _ = run(capsys, "normalize", "--surface", "0,2", digits)

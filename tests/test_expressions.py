@@ -1,6 +1,7 @@
 """Expression grammar: parsing, precedence, errors, and print round trips."""
 
 import random
+import sys
 
 import pytest
 
@@ -121,6 +122,22 @@ def test_expansion_budget_refuses_at_the_operator(monkeypatch):
         with pytest.raises(ParseError, match="over EXPANSION_BUDGET = 10 ") as exc:
             parse_element(text, 3, AB3)
         assert exc.value.position == offset
+
+
+def test_coefficient_bits_are_refused_before_the_product(monkeypatch):
+    # bits(x) + bits(y) + bits(terms summed) is checked before each product,
+    # so a power stops at its first oversized square.
+    assert expressions.COEFFICIENT_BITS_BUDGET == 8 * sys.get_int_max_str_digits()
+    monkeypatch.setattr(expressions, "COEFFICIENT_BITS_BUDGET", 5120)
+    assert parse_scalar("2^5118", 0) == 2**5118  # last product: 2^1022 * 2^4096, 1023 + 4097 bits
+    assert parse_scalar("(2*A + 2)^2", 0) == (2 * a_power(1, 0) + 2) ** 2
+    refused = (("2^5119", 1), ("3^100000 - 3^100000", 1), ("2^3000*2^3000", 6), ("(2^2559*A + 1)^2", 14))
+    for text, offset in refused:
+        with pytest.raises(ParseError, match="-bit coefficients is over COEFFICIENT_BITS_BUDGET = 5120 ") as exc:
+            parse_scalar(text, 0)
+        assert exc.value.position == offset
+    monkeypatch.setattr(expressions, "COEFFICIENT_BITS_BUDGET", 0)  # the digit limit 0: no budget
+    assert parse_scalar("2^6000*2^6000", 0) == 2**12000
 
 
 def test_half_power_only_on_a():
