@@ -11,11 +11,17 @@ Subcommands:
 Exit codes: 0 success, 1 check failure (or stdout closed early by its
 reader), 2 usage or input error.  Output is deterministic: identical
 invocations print identical bytes.
+
+``main`` parses with one parser per process, built by ``build_parser`` on
+its first call and reused, so an in-process caller that runs many commands
+pays for the argparse tree once.  ``build_parser`` still returns a fresh
+parser on every call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -127,6 +133,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    """The parser of ``main``, built on first use; parsing leaves it unchanged."""
+    return build_parser()
+
+
 def _cmd_normalize(args) -> int:
     alg = algebra_for(args.surface, args.variant)
     element = parse_element(args.expression, alg.arity, generator_alphabet(args.surface))
@@ -229,8 +241,7 @@ def _cmd_rep_check(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     handler = {
         "normalize": _cmd_normalize,
         "eval-diagram": _cmd_eval_diagram,

@@ -827,30 +827,41 @@ def _coordinate(x) -> Fraction:
     return Fraction(str(x))
 
 
+def _json_field(value, kind: type, name: str):
+    """``value`` if its type is exactly ``kind`` (so ``True`` is no integer and 2.0 none)."""
+    if type(value) is not kind:
+        raise TypeError(f"{name} must be a JSON {'boolean' if kind is bool else 'integer'}, not {type(value).__name__}")
+    return value
+
+
+def _attachment(obj) -> Attachment:
+    return Attachment(_json_field(obj["puncture"], int, "puncture"), _json_field(obj["height"], int, "height"))
+
+
+def _crossing_key(pair) -> tuple[int, int]:
+    return _json_field(pair[0], int, "crossing key"), _json_field(pair[1], int, "crossing key")
+
+
 def diagram_from_dict(obj: Mapping) -> Diagram:
     try:
-        n = int(obj["n"])
+        n = _json_field(obj["n"], int, "n")
         entries = list(obj.get("components", []))
+        closed = [_json_field(e.get("closed", False), bool, "closed") for e in entries]
         # Counted on the raw `points` of every component (any value with a length:
         # a JSON object iterates its keys, and a two-character key unpacks into a
         # point), so an oversized document converts no coordinate.
-        segments = sum(max(len(e["points"]) - (not e.get("closed", False)), 0) for e in entries)
+        segments = sum(max(len(e["points"]) - (not c), 0) for e, c in zip(entries, closed))
         if segments > SEGMENT_BUDGET:
             raise DiagramError(f"diagram has {segments} segments, more than SEGMENT_BUDGET = {SEGMENT_BUDGET}")
         comps = []
-        for entry in entries:
+        for entry, c in zip(entries, closed):
             points = tuple((_coordinate(x), _coordinate(y)) for x, y in entry["points"])
-            closed = bool(entry.get("closed", False))
-            start = end = None
-            if entry.get("start") is not None:
-                start = Attachment(int(entry["start"]["puncture"]), int(entry["start"]["height"]))
-            if entry.get("end") is not None:
-                end = Attachment(int(entry["end"]["puncture"]), int(entry["end"]["height"]))
-            comps.append(Component(points, closed, start, end))
+            start = None if entry.get("start") is None else _attachment(entry["start"])
+            end = None if entry.get("end") is None else _attachment(entry["end"])
+            comps.append(Component(points, c, start, end))
         over = {}
         for entry in obj.get("over_under", []):
-            ka = (int(entry["a"][0]), int(entry["a"][1]))
-            kb = (int(entry["b"][0]), int(entry["b"][1]))
+            ka, kb = _crossing_key(entry["a"]), _crossing_key(entry["b"])
             label = entry["over"]
             if kb < ka:
                 ka, kb = kb, ka
@@ -858,7 +869,7 @@ def diagram_from_dict(obj: Mapping) -> Diagram:
             over[(ka, kb)] = label
     except DiagramError:
         raise
-    except (IndexError, KeyError, OverflowError, TypeError, ValueError, ZeroDivisionError) as exc:
+    except (AttributeError, IndexError, KeyError, OverflowError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise DiagramError(f"malformed diagram document: {exc}") from None
     return Diagram(n, tuple(comps), over)
 

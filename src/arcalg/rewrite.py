@@ -28,6 +28,14 @@ in balanced base 2^s, wide enough for every monomial the call can form, so
 a monomial product is an int addition; only final words and monomials are
 decoded.  The one-step reduct of a coefficient-1 word is built by
 concatenation, so critical pairs multiply no ring or algebra elements.
+
+A system builds what depends only on its rules once, on first use, and
+keeps it in attributes that are not fields: its packed rule table (per
+packing width s and alphabet), the ambiguities of each pair of rules and
+each critical pair, keyed by its ambiguity ``(word, ia, ib, pos)``.
+Completion only appends rules, which keeps every old rule's index, so the
+system ``complete`` extends by a rule inherits all three; only the new
+rule's pairs are built and only its row of the table is packed.
 """
 
 from __future__ import annotations
@@ -127,6 +135,12 @@ class Rule:
         return cls(lead, (AlgElement.from_word(lead, diff.arity, c) - diff).scale(cinv))
 
 
+def _pack_rule(rule: Rule, s: int, code) -> tuple:
+    """``rule`` as its coded lhs and ``[(coded u, {packed monomial: int})]``."""
+    rhs = [(bytes(map(code, u)), {_pack(m, s): k for m, k in c._terms.items()}) for u, c in rule.rhs._terms.items()]
+    return bytes(map(code, rule.lhs)), rhs
+
+
 @dataclass(frozen=True)
 class RewriteSystem:
     arity: int
@@ -142,6 +156,20 @@ class RewriteSystem:
         gens = {g for r in self.rules for w in (r.lhs, *r.rhs._terms) for g in w}
         object.__setattr__(self, "_alphabet", tuple(sorted(gens)))
         object.__setattr__(self, "_packed", (None, None, None))  # the last (s, alphabet), its coder, its table
+        object.__setattr__(self, "_overlaps", {})  # (ia, ib) -> ((word, pos), ...) of rules ia and ib
+        object.__setattr__(self, "_pairs", {})  # ambiguity (word, ia, ib, pos) -> its CriticalPair
+
+    def _extended(self, rule: Rule) -> RewriteSystem:
+        """This system with ``rule`` appended.  Appending keeps every old rule's
+        index, so the ambiguities, critical pairs and packed table of the old
+        rules hold for the new system, which starts from copies of them."""
+        new = RewriteSystem(self.arity, (*self.rules, rule))
+        object.__setattr__(new, "_overlaps", dict(self._overlaps))
+        object.__setattr__(new, "_pairs", dict(self._pairs))
+        key, code, packed = self._packed
+        if key is not None and new._alphabet == self._alphabet:  # the coder covers the rule
+            object.__setattr__(new, "_packed", (key, code, [*packed, _pack_rule(rule, key[0], code)]))
+        return new
 
     def _packed_rules(self, s: int, alphabet: tuple) -> tuple:
         """The coder of words (generator -> its rank in ``alphabet``) and, per rule,
@@ -151,16 +179,7 @@ class RewriteSystem:
             if len(alphabet) > 256:
                 raise ValueError(f"{len(alphabet)} generators do not fit in one byte each")
             code = {g: i for i, g in enumerate(alphabet)}.__getitem__
-            packed = [
-                (
-                    bytes(map(code, r.lhs)),
-                    [
-                        (bytes(map(code, u)), {_pack(m, s): k for m, k in c._terms.items()})
-                        for u, c in r.rhs._terms.items()
-                    ],
-                )
-                for r in self.rules
-            ]
+            packed = [_pack_rule(r, s, code) for r in self.rules]
             object.__setattr__(self, "_packed", ((s, alphabet), code, packed))
         return code, packed
 
@@ -270,37 +289,53 @@ class CriticalPair:
         return f"{word_str(self.word)}: {self.left}  vs  {self.right}"
 
 
+def _rule_pair_ambiguities(la: Word, lb: Word, ordered: bool) -> tuple:
+    """``(word, pos)`` for each ambiguity of left-hand sides ``la`` at 0 and
+    ``lb`` at ``pos``; ``ordered`` when la's rule comes before lb's."""
+    # Proper suffix/prefix overlaps: la = u s, lb = s w with s nonempty.
+    out = [(la + lb[k:], len(la) - k) for k in range(1, min(len(la), len(lb))) if la[-k:] == lb[:k]]
+    # Containment: lb a proper subword of la, or equal to it (counted once).
+    if len(lb) < len(la) or (la == lb and ordered):
+        out += [(la, pos) for pos in range(len(la) - len(lb) + 1) if la[pos : pos + len(lb)] == lb]
+    return tuple(out)
+
+
 def _ambiguities(system: RewriteSystem):
     """``(word, ia, ib, pos)`` for each overlap and containment ambiguity, at
-    any length: rule ia applies to ``word`` at 0 and rule ib at ``pos``."""
+    any length: rule ia applies to ``word`` at 0 and rule ib at ``pos``.  Each
+    rule pair's ambiguities are found once per system and kept."""
+    found = system._overlaps
     for ia, ra in enumerate(system.rules):
         for ib, rb in enumerate(system.rules):
-            la, lb = ra.lhs, rb.lhs
-            # Proper suffix/prefix overlaps: la = u s, lb = s w with s nonempty.
-            for k in range(1, min(len(la), len(lb))):
-                if la[-k:] == lb[:k]:
-                    yield la + lb[k:], ia, ib, len(la) - k
-            # Containment: lb a proper subword of la, or equal to it (counted once).
-            if len(lb) < len(la) or (la == lb and ia < ib):
-                for pos in range(len(la) - len(lb) + 1):
-                    if la[pos : pos + len(lb)] == lb:
-                        yield la, ia, ib, pos
+            amb = found.get((ia, ib))
+            if amb is None:
+                amb = found[ia, ib] = _rule_pair_ambiguities(ra.lhs, rb.lhs, ia < ib)
+            for word, pos in amb:
+                yield word, ia, ib, pos
+
+
+def _bounded_ambiguities(system: RewriteSystem, max_overlap_len: int) -> list[tuple]:
+    return [amb for amb in _ambiguities(system) if len(amb[0]) <= max_overlap_len]
 
 
 def critical_pairs(system: RewriteSystem, max_overlap_len: int) -> list[CriticalPair]:
     """All overlap and containment ambiguities with word length <= the bound.
 
     Overlaps include self-overlaps of a rule with itself.  Each pair carries
-    the two one-step reducts of the ambiguity word (coefficient 1).
+    the two one-step reducts of the ambiguity word (coefficient 1); a pair is
+    built once per system and kept, keyed by its ambiguity.
     """
     max_lhs = max((len(r.lhs) for r in system.rules), default=0)
     if system.rules and max_overlap_len < max_lhs:
         raise ValueError(f"max_overlap_len {max_overlap_len} < longest lhs {max_lhs}")
-    return [
-        CriticalPair(word, system._reduct(word, ia, 0), system._reduct(word, ib, pos))
-        for word, ia, ib, pos in _ambiguities(system)
-        if len(word) <= max_overlap_len
-    ]
+    built, out = system._pairs, []
+    for amb in _bounded_ambiguities(system, max_overlap_len):
+        cp = built.get(amb)
+        if cp is None:
+            word, ia, ib, pos = amb
+            cp = built[amb] = CriticalPair(word, system._reduct(word, ia, 0), system._reduct(word, ib, pos))
+        out.append(cp)
+    return out
 
 
 @dataclass
@@ -355,6 +390,11 @@ def complete(system: RewriteSystem, degree_bound: int) -> tuple[RewriteSystem, C
     nf(left) - nf(difference).  Sound because every added rule is a
     consequence of the existing ones.
 
+    Each pass asks ``critical_pairs`` for the pairs up to the bound, but the
+    extended system inherits the pairs, ambiguities and packed table of the
+    old rules (``RewriteSystem._extended``), so each pair is built once per
+    completion.  The joined pairs are kept as their ambiguities.
+
     A joined pair is not normalized again.  ``normal_form`` is linear, since
     the fate of a word depends only on the word, and its redex search tries
     rules in system order; so for S' = S plus appended rules, every S-step
@@ -368,11 +408,12 @@ def complete(system: RewriteSystem, degree_bound: int) -> tuple[RewriteSystem, C
     ``degree_bound`` as ``unexamined``, without building their reducts.
     """
     sysx = system
-    joined: set[CriticalPair] = set()
+    joined: set[tuple] = set()  # ambiguities (word, ia, ib, pos) whose pairs join
     while True:
         joinable, failures = [], []
-        for cp in critical_pairs(sysx, degree_bound):
-            if cp not in joined:
+        pairs = critical_pairs(sysx, degree_bound)
+        for amb, cp in zip(_bounded_ambiguities(sysx, degree_bound), pairs):
+            if amb not in joined:
                 diff = sysx.normal_form(cp.left - cp.right)
                 if diff:
                     rule = Rule.orient(diff)
@@ -380,10 +421,10 @@ def complete(system: RewriteSystem, degree_bound: int) -> tuple[RewriteSystem, C
                         n1 = sysx.normal_form(cp.left)
                         failures.append((cp, n1, n1 - diff))
                         continue
-                    sysx = RewriteSystem(sysx.arity, (*sysx.rules, rule))
-                    joined.add(cp)
+                    sysx = sysx._extended(rule)
+                    joined.add(amb)
                     break
-                joined.add(cp)
+                joined.add(amb)
             joinable.append(cp)
         else:
             added = list(sysx.rules[len(system.rules) :])

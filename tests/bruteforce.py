@@ -1,5 +1,5 @@
-"""Reference code: reduction oracles for the rewrite tests and rational
-plane geometry for the diagram engine's integer predicates.
+"""Reference code: reduction oracles and a completion for the rewrite tests,
+and rational plane geometry for the diagram engine's integer predicates.
 
 ``all_normal_forms`` explores every possible order of rule application and
 returns the set of irreducible results; a singleton set certifies that the
@@ -7,6 +7,10 @@ answer does not depend on the engine's reduction strategy.
 ``random_normal_form`` reduces by picking a random redex at every step.
 Both are built on the one-step primitive ``RewriteSystem.apply_at`` only,
 never on ``reduce_once``/``normal_form``.
+
+``complete`` is Knuth-Bendix completion as the engine ran it before it kept
+critical pairs between passes: each pass builds every critical pair and a
+new system, and a pair counts as joined when an equal pair has joined.
 
 ``segment_hit``, ``angle`` and ``ray_crossing`` work on points with
 fraction coordinates, as the engine did before it scaled each diagram into
@@ -17,9 +21,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from arcalg import AlgElement, RewriteSystem
+from arcalg import AlgElement, RewriteSystem, Rule
 from arcalg.geometry import SegHit, cross, vsub
-from arcalg.rewrite import find_subword
+from arcalg.rewrite import ConfluenceReport, CriticalPair, find_subword
 
 
 def _redexes(system: RewriteSystem, x: AlgElement):
@@ -61,6 +65,50 @@ def random_normal_form(system: RewriteSystem, x: AlgElement, rng) -> AlgElement:
             return x
         word, ri, pos = redexes[rng.randrange(len(redexes))]
         x = system.apply_at(x, word, ri, pos)
+
+
+def _ambiguities(system: RewriteSystem):
+    for ia, ra in enumerate(system.rules):
+        for ib, rb in enumerate(system.rules):
+            la, lb = ra.lhs, rb.lhs
+            for k in range(1, min(len(la), len(lb))):
+                if la[-k:] == lb[:k]:
+                    yield la + lb[k:], ia, ib, len(la) - k
+            if len(lb) < len(la) or (la == lb and ia < ib):
+                for pos in range(len(la) - len(lb) + 1):
+                    if la[pos : pos + len(lb)] == lb:
+                        yield la, ia, ib, pos
+
+
+def complete(system: RewriteSystem, degree_bound: int) -> tuple[RewriteSystem, ConfluenceReport]:
+    """Completion up to ``degree_bound``, rebuilding every pair on each pass."""
+    sysx = system
+    joined: set[CriticalPair] = set()
+    while True:
+        joinable, failures = [], []
+        pairs = [
+            CriticalPair(word, sysx._reduct(word, ia, 0), sysx._reduct(word, ib, pos))
+            for word, ia, ib, pos in _ambiguities(sysx)
+            if len(word) <= degree_bound
+        ]
+        for cp in pairs:
+            if cp not in joined:
+                diff = sysx.normal_form(cp.left - cp.right)
+                if diff:
+                    rule = Rule.orient(diff)
+                    if rule is None:
+                        n1 = sysx.normal_form(cp.left)
+                        failures.append((cp, n1, n1 - diff))
+                        continue
+                    sysx = RewriteSystem(sysx.arity, (*sysx.rules, rule))
+                    joined.add(cp)
+                    break
+                joined.add(cp)
+            joinable.append(cp)
+        else:
+            added = list(sysx.rules[len(system.rules) :])
+            unexamined = sum(len(word) > degree_bound for word, *_ in _ambiguities(sysx))
+            return sysx, ConfluenceReport(joinable, failures, added, degree_bound, unexamined)
 
 
 def segment_hit(p1, p2, p3, p4) -> SegHit | None:

@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from arcalg import Surface, dumps_diagram, generator_diagram, stack
+from arcalg import Surface, cli, dumps_diagram, generator_diagram, stack
 from arcalg.cli import main
 from arcalg.presentations import GENS_A3
 from arcalg.rewrite import RewriteSystem, StepBudgetExceeded
@@ -115,6 +115,65 @@ def test_normalize_prints_4300_digits(capsys):
     digits = "9" * 4300
     code, out, _ = run(capsys, "normalize", "--surface", "0,2", digits)
     assert (code, out) == (0, digits + "\n")
+
+
+# A mix of commands that succeed, fail a check, refuse their input or stop
+# in argparse (a missing argument, an unknown command, help).
+SHARED_PARSER_ARGV = [
+    ["normalize", "--surface", "0,3", "a1*a2"],
+    ["normalize"],
+    ["normalize", "--surface", "1,1", "--json", "g2*g1"],
+    ["--help"],
+    ["normalize", "--surface", "0,3", "a4"],
+    ["complete", "--surface", "1,0", "--degree-bound", "5"],
+    ["normalize", "--help"],
+    ["frobnicate"],
+    ["complete", "--surface", "0,2", "--degree-bound", "1"],
+    ["normalize", "--surface", "0,5", "a1"],
+    ["normalize", "--surface", "0,3", "a1*a2"],
+]
+
+
+def run_any(capsys, argv):
+    """(exit code, stdout, stderr) of ``main``, also when argparse exits."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.fixture
+def fresh_parser_cache():
+    cli._shared_parser.cache_clear()
+    yield
+    cli._shared_parser.cache_clear()
+
+
+def test_main_builds_one_parser_per_process(monkeypatch, capsys, fresh_parser_cache):
+    builds = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
+    for argv in SHARED_PARSER_ARGV * 3:
+        run_any(capsys, argv)
+    assert len(builds) == 1
+    assert cli.build_parser() is not cli.build_parser()  # still a fresh parser per call
+
+
+def test_shared_parser_gives_identical_results(capsys, fresh_parser_cache):
+    # Each command gives the same bytes and exit code on a fresh parser and
+    # on the shared one, whatever ran before it (argparse errors included).
+    fresh = []
+    for argv in SHARED_PARSER_ARGV:
+        cli._shared_parser.cache_clear()
+        fresh.append(run_any(capsys, argv))
+    codes = [code for code, _, _ in fresh]
+    assert codes == [0, 2, 0, 0, 2, 1, 0, 2, 2, 2, 0]
+    assert fresh[0] == fresh[-1]
+    for _ in range(2):
+        assert [run_any(capsys, argv) for argv in SHARED_PARSER_ARGV] == fresh
+        assert [run_any(capsys, argv) for argv in reversed(SHARED_PARSER_ARGV)] == fresh[::-1]
 
 
 def test_unsupported_surface_usage_error(capsys):
@@ -334,3 +393,39 @@ def test_eval_diagram_invalid_content(tmp_path, capsys):
     path.write_text('{"n": 2, "components": [{"closed": false, "points": [["1","0"]]}]}')
     code, _, err = run(capsys, "eval-diagram", str(path))
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "field, bad, message",
+    [
+        ("closed", "false", "closed must be a JSON boolean, not str"),
+        ("closed", 0, "closed must be a JSON boolean, not int"),
+        ("closed", None, "closed must be a JSON boolean, not NoneType"),
+        ("height", 0.7, "height must be a JSON integer, not float"),
+        ("height", True, "height must be a JSON integer, not bool"),
+        ("puncture", 2.9, "puncture must be a JSON integer, not float"),
+        ("puncture", "2", "puncture must be a JSON integer, not str"),
+        ("n", 2.0, "n must be a JSON integer, not float"),
+        ("n", True, "n must be a JSON integer, not bool"),
+        ("key", 1.0, "crossing key must be a JSON integer, not float"),
+        ("key", False, "crossing key must be a JSON integer, not bool"),
+    ],
+)
+def test_eval_diagram_field_types(tmp_path, capsys, field, bad, message):
+    # The document of demos/sample_diagram.json with one field replaced; a
+    # three-point polyline with "closed": "false" was read as a loop, and a
+    # height of 0.7 or a puncture of 2.9 was truncated.
+    with open(os.path.join(os.path.dirname(__file__), "..", "demos", "sample_diagram.json")) as fh:
+        doc = json.load(fh)
+    if field == "closed":
+        doc = {"n": 0, "components": [{"closed": bad, "points": [[0, 0], [1, 0], [0, 1]]}]}
+    elif field == "n":
+        doc["n"] = bad
+    elif field == "key":
+        doc["over_under"][0]["a"][1] = bad
+    else:
+        doc["components"][0]["end"][field] = bad
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert run(capsys, "eval-diagram", str(path)) == (2, "", f"error: malformed diagram document: {message}\n")
+

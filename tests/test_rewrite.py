@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -31,6 +32,7 @@ from arcalg.freealg import word_key
 from arcalg import rewrite
 from arcalg.rewrite import _pack, _unpack
 
+import bruteforce
 from bruteforce import _redexes, all_normal_forms, random_normal_form
 
 A1, A2, A3 = (Generator("a", i) for i in (1, 2, 3))
@@ -591,32 +593,81 @@ def test_pack_round_trips_at_the_field_limits():
 
 def test_completion_normalizes_each_critical_pair_once(monkeypatch):
     # The completion workload of the benchmark: F0,2 at 6, F0,3 at 6..11,
-    # both tori at 3..11.  Without failures every pair of the final pass
-    # is normalized exactly once, as one difference.
+    # both tori at 3..11, each from a fresh system as the benchmark runs
+    # them.  Without failures every pair of the final pass is normalized
+    # exactly once, as one difference.  The reference builds the two
+    # reducts of every pair on every pass; ``complete`` those of each pair
+    # once per completion, and normalizes the same differences.
     ops = (
         [(Surface(0, 2), 6)]
         + [(Surface(0, 3), b) for b in range(6, 12)]
         + [(s, b) for s in (Surface(1, 0), Surface(1, 1)) for b in range(3, 12)]
     )
-    raw = {s: RewriteSystem(algebra_for(s).arity, algebra_for(s).rules) for s in SURFACES}
-    calls = 0
-    normal_form = RewriteSystem.normal_form
+    algs = {s: algebra_for(s) for s in SURFACES}
+    calls = Counter()
 
-    def counting(self, x):
-        nonlocal calls
-        calls += 1
-        return normal_form(self, x)
+    def counting(name):
+        original = getattr(RewriteSystem, name)
 
-    monkeypatch.setattr(RewriteSystem, "normal_form", counting)
-    per_op = {}
-    for surface, bound in ops:
-        before = calls
-        _, report = complete(raw[surface], bound)
-        per_op[surface, bound] = calls - before
-        assert per_op[surface, bound] == len(report.joinable)
-    assert per_op[Surface(1, 0), 11] == per_op[Surface(1, 1), 11] == 33
-    assert per_op[Surface(0, 3), 6] == 27
-    assert calls == 469
+        def counted(self, *args):
+            calls[name] += 1
+            return original(self, *args)
+
+        return counted
+
+    for name in ("normal_form", "_reduct"):
+        monkeypatch.setattr(RewriteSystem, name, counting(name))
+    work = {}
+    for run in (bruteforce.complete, complete):
+        calls.clear()
+        per_op = {}
+        for surface, bound in ops:
+            before = calls["normal_form"]
+            _, report = run(RewriteSystem(algs[surface].arity, algs[surface].rules), bound)
+            per_op[surface, bound] = calls["normal_form"] - before
+            assert per_op[surface, bound] == len(report.joinable)
+        assert per_op[Surface(1, 0), 11] == per_op[Surface(1, 1), 11] == 33
+        assert per_op[Surface(0, 3), 6] == 27
+        work[run] = dict(calls)
+    assert work[bruteforce.complete] == {"normal_form": 469, "_reduct": 3002}
+    assert work[complete] == {"normal_form": 469, "_reduct": 938}
+
+
+@pytest.mark.parametrize("surface", SURFACES, ids=str)
+def test_complete_matches_the_rebuilding_reference(surface):
+    # The reference builds every critical pair and a new system on each pass.
+    # ``complete`` keeps them, here also between calls: every bound runs on
+    # one raw system, whose pairs the previous bounds have built.
+    for variant in (VARIANT_DEFAULT, VARIANT_LITERAL):
+        alg = algebra_for(surface, variant)
+        raw = RewriteSystem(alg.arity, alg.rules)
+        for bound in range(max(len(r.lhs) for r in alg.rules), 12):
+            done, report = complete(raw, bound)
+            ref_done, ref = bruteforce.complete(RewriteSystem(alg.arity, alg.rules), bound)
+            assert report.to_dict() == ref.to_dict()
+            assert report.lines() == ref.lines()
+            assert done.rules == ref_done.rules
+            assert [cp.word for cp in report.joinable] == [cp.word for cp in ref.joinable]
+            assert report.joinable == ref.joinable
+
+
+def test_extended_system_inherits_what_holds_for_its_rules():
+    alg = algebra_for(Surface(1, 1))
+    raw = RewriteSystem(alg.arity, alg.rules)
+    x = AlgElement.from_word(tuple(alg.generators) * 3, alg.arity)
+    raw.normal_form(x)  # builds the packed table
+    pairs = critical_pairs(raw, 6)
+    rule = alg.system.rules[len(raw.rules)]
+    new = raw._extended(rule)
+    assert new == RewriteSystem(alg.arity, (*raw.rules, rule))
+    assert new._packed[0] == raw._packed[0] and new._packed[2][:-1] == raw._packed[2]
+    assert new._packed[2] == RewriteSystem(alg.arity, new.rules)._packed_rules(*raw._packed[0])[1]
+    assert new.normal_form(x) == RewriteSystem(alg.arity, new.rules).normal_form(x)
+    # the old pairs are reused, the new rule's are built; the old system is unchanged
+    new_pairs = critical_pairs(new, 6)
+    assert set(map(id, pairs)) <= set(map(id, new_pairs))
+    assert new_pairs == critical_pairs(RewriteSystem(alg.arity, new.rules), 6)
+    assert critical_pairs(raw, 6) == pairs and len(raw._pairs) == len(pairs)
 
 
 # sha256 of the printed normal forms of ``_pinned_corpus``: any change of
