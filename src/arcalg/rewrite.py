@@ -22,26 +22,45 @@ may run concurrently on many inputs.  It takes the steps of ``reduce_once``
 the support, largest word first, on words coded as bytes: a generator's
 code is its rank in the call's alphabet, so byte order is the term order,
 the pending queue is a sorted list of ``(len, bytes)`` tuples and the redex
-search is ``bytes.find`` of each coded lhs in rule order.  Its coefficients
-accumulate as maps from packed monomials to ints: each monomial is one int
-in balanced base 2^s, wide enough for every monomial the call can form, so
-a monomial product is an int addition; only final words and monomials are
-decoded.  The one-step reduct of a coefficient-1 word is built by
-concatenation, so critical pairs multiply no ring or algebra elements.
+search is ``bytes.find`` of each coded lhs in rule order.  Only final words
+are decoded.  Coefficients take one of two forms, with the same steps and
+results:
+
+* Dense, when neither the rules nor the input have a puncture variable
+  and the A-exponents of each rule, and of the whole input, span at most
+  ``DENSE_SPAN_CAP`` (the tori).  A coefficient is one int P, an offset e
+  and a bound b: slot j of P, W bits wide, holds the coefficient of
+  A^((e+j)*g/2), g the gcd of every A-exponent of the call (2 on the
+  tori).  So ``acc += r*c`` is one big-int product, shift and addition
+  (Kronecker substitution), and b grows by |r|_1 * b_c, which does not
+  depend on W.  Sums and products of P are exact at any W; the zero test
+  and the decode are exact while b < 2^(W-1).  A call starts at
+  W = ``DENSE_WIDTH``; if a bound reaches 2^(W-1), it reruns once at a width
+  above every bound of the first run.
+* Sparse otherwise (the spheres, v1 on F1,1, wider spans): maps from
+  packed monomials to ints, each monomial one int in balanced base 2^s,
+  wide enough for every monomial the call can form, so a monomial product
+  is an int addition.
+
+The one-step reduct of a coefficient-1 word is built by concatenation, so
+critical pairs multiply no ring or algebra elements.
 
 A system builds what depends only on its rules once, on first use, and
 keeps it in attributes that are not fields: its packed rule table (per
-packing width s and alphabet), the ambiguities of each pair of rules and
-each critical pair, keyed by its ambiguity ``(word, ia, ib, pos)``.
-Completion only appends rules, which keeps every old rule's index, so the
-system ``complete`` extends by a rule inherits all three; only the new
-rule's pairs are built and only its row of the table is packed.
+packing width s and alphabet), its dense rule tables (per g and alphabet,
+one per slot width W), the ambiguities of each pair of rules and each
+critical pair, keyed by its ambiguity ``(word, ia, ib, pos)``.  Completion
+only appends rules, which keeps every old rule's index, so the system
+``complete`` extends by a rule (``_extended``) inherits all of them; only
+the new rule's pairs are built and only its row of each table is packed.
 """
 
 from __future__ import annotations
 
+import struct
 from bisect import insort
 from dataclasses import dataclass, field
+from math import gcd
 
 from .freealg import AlgElement, Word, word_key, word_str
 from .ring import LaurentPoly, Monomial
@@ -68,6 +87,14 @@ class StepBudgetExceeded(RuntimeError):
 
 # The most reduction steps that one ``normal_form`` call may take.
 STEP_BUDGET = 100_000
+# The widest A-exponent span, in A^(1/2) factors, of the rules and of the input
+# of a call on dense coefficients; a wider one would make sparse data dense.
+DENSE_SPAN_CAP = 1024
+# The slot width in bits of a call's first run on dense coefficients; a
+# multiple of 8, so that a slot is whole bytes.
+DENSE_WIDTH = 32
+# struct formats of the slots that are 1, 2, 4 or 8 bytes wide.
+_UNPACK = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 
 def find_subword(word: Word, sub: Word) -> int:
@@ -103,6 +130,19 @@ def _unpack(x: int, s: int, arity: int) -> Monomial:
     return tuple.__new__(Monomial, (fields[0], tuple(fields[1:])))
 
 
+def _a_grid(monos) -> int | None:
+    """The gcd of the A-exponents of ``monos`` (0 if all are 0), or None when
+    one has a puncture variable or they span more than ``DENSE_SPAN_CAP``."""
+    halves = []
+    for m in monos:
+        if any(m.vexp):
+            return None
+        halves.append(m.half_a)
+    if halves and max(halves) - min(halves) > DENSE_SPAN_CAP:
+        return None
+    return gcd(*halves)
+
+
 @dataclass(frozen=True)
 class Rule:
     lhs: Word
@@ -117,6 +157,10 @@ class Rule:
                 raise RuleError(
                     f"rule {word_str(self.lhs)} -> {self.rhs} does not decrease the term order"
                 )
+        # Not fields: what a system needs of each of its rules, found once per rule.
+        monos = [m for c in self.rhs._terms.values() for m in c._terms]
+        object.__setattr__(self, "_field", _max_field(monos))
+        object.__setattr__(self, "_grid", _a_grid(monos))
 
     def __str__(self) -> str:
         return f"{word_str(self.lhs)} -> {self.rhs}"
@@ -135,9 +179,55 @@ class Rule:
         return cls(lead, (AlgElement.from_word(lead, diff.arity, c) - diff).scale(cinv))
 
 
+def _dense_coeff(c: LaurentPoly, g: int, width: int) -> tuple[int, int, int]:
+    """``(P, e, |c|_1)``: slot j of P, ``width`` bits wide, holds the coefficient
+    of A^((e+j)*g/2) in ``c``; every A-exponent of ``c`` is a multiple of g/2."""
+    e = min(m.half_a for m in c._terms) // g
+    p = sum(k << (width * (m.half_a // g - e)) for m, k in c._terms.items())
+    return p, e, sum(map(abs, c._terms.values()))
+
+
+def _dense_poly(p: int, e: int, g: int, width: int, monos: dict) -> dict:
+    """Inverse of ``_dense_coeff``, as a term map; ``monos`` maps an A-exponent
+    to its monomial.  Adding 2^(width-1) to each balanced digit makes every
+    digit ``width/8`` unsigned bytes, and the zero digit 2^(width-1)."""
+    size, half = width // 8, 1 << (width - 1)
+    n = p.bit_length() // width + 2  # the top nonzero digit is below n
+    raw = (p + int.from_bytes((bytes(size - 1) + b"\x80") * n, "little")).to_bytes(size * n, "little")
+    if fmt := _UNPACK.get(size):
+        digits = struct.unpack(f"<{n}{fmt}", raw)
+    else:
+        digits = [int.from_bytes(raw[i : i + size], "little") for i in range(0, len(raw), size)]
+    return {monos[(e + j) * g]: d - half for j, d in enumerate(digits) if d != half}
+
+
+class _Monomials(dict):
+    """A-exponent -> the monomial A^(h/2) over ``arity`` puncture variables."""
+
+    def __init__(self, arity: int):
+        self.vexp = (0,) * arity
+
+    def __missing__(self, h: int) -> Monomial:
+        m = self[h] = tuple.__new__(Monomial, (h, self.vexp))
+        return m
+
+
+def _coder(alphabet: tuple):
+    """Generator -> its rank in ``alphabet``, so byte order is the term order."""
+    if len(alphabet) > 256:
+        raise ValueError(f"{len(alphabet)} generators do not fit in one byte each")
+    return {g: i for i, g in enumerate(alphabet)}.__getitem__
+
+
 def _pack_rule(rule: Rule, s: int, code) -> tuple:
     """``rule`` as its coded lhs and ``[(coded u, {packed monomial: int})]``."""
     rhs = [(bytes(map(code, u)), {_pack(m, s): k for m, k in c._terms.items()}) for u, c in rule.rhs._terms.items()]
+    return bytes(map(code, rule.lhs)), rhs
+
+
+def _dense_rule(rule: Rule, g: int, width: int, code) -> tuple:
+    """``rule`` as its coded lhs and ``[(coded u, *_dense_coeff(r))]``."""
+    rhs = [(bytes(map(code, u)), *_dense_coeff(c, g, width)) for u, c in rule.rhs._terms.items()]
     return bytes(map(code, rule.lhs)), rhs
 
 
@@ -151,24 +241,31 @@ class RewriteSystem:
             if r.rhs.arity != self.arity:
                 raise RuleError("rule coefficient arity differs from system arity")
         # Not fields, so ``replace`` and ``==`` do not see them.
-        monos = (m for r in self.rules for c in r.rhs._terms.values() for m in c._terms)
-        object.__setattr__(self, "_rule_field", _max_field(monos))
+        object.__setattr__(self, "_rule_field", max((r._field for r in self.rules), default=0))
+        grids = [r._grid for r in self.rules]
+        object.__setattr__(self, "_grid", None if None in grids else gcd(*grids))  # None: every call is sparse
         gens = {g for r in self.rules for w in (r.lhs, *r.rhs._terms) for g in w}
         object.__setattr__(self, "_alphabet", tuple(sorted(gens)))
         object.__setattr__(self, "_packed", (None, None, None))  # the last (s, alphabet), its coder, its table
+        object.__setattr__(self, "_dense", (None, None, None))  # the last (g, alphabet), its coder, {W: table}
         object.__setattr__(self, "_overlaps", {})  # (ia, ib) -> ((word, pos), ...) of rules ia and ib
         object.__setattr__(self, "_pairs", {})  # ambiguity (word, ia, ib, pos) -> its CriticalPair
 
     def _extended(self, rule: Rule) -> RewriteSystem:
         """This system with ``rule`` appended.  Appending keeps every old rule's
-        index, so the ambiguities, critical pairs and packed table of the old
+        index, so the ambiguities, critical pairs and rule tables of the old
         rules hold for the new system, which starts from copies of them."""
         new = RewriteSystem(self.arity, (*self.rules, rule))
         object.__setattr__(new, "_overlaps", dict(self._overlaps))
         object.__setattr__(new, "_pairs", dict(self._pairs))
-        key, code, packed = self._packed
-        if key is not None and new._alphabet == self._alphabet:  # the coder covers the rule
-            object.__setattr__(new, "_packed", (key, code, [*packed, _pack_rule(rule, key[0], code)]))
+        if new._alphabet == self._alphabet:  # the coders cover the rule
+            key, code, packed = self._packed
+            if key is not None:
+                object.__setattr__(new, "_packed", (key, code, [*packed, _pack_rule(rule, key[0], code)]))
+            key, code, tables = self._dense
+            if key is not None and new._grid is not None and new._grid % key[0] == 0:  # g divides the rule's
+                tables = {w: [*rows, _dense_rule(rule, key[0], w, code)] for w, rows in tables.items()}
+                object.__setattr__(new, "_dense", (key, code, tables))
         return new
 
     def _packed_rules(self, s: int, alphabet: tuple) -> tuple:
@@ -176,12 +273,22 @@ class RewriteSystem:
         its coded lhs and ``[(coded u, {packed monomial: int})]`` for its rhs."""
         key, code, packed = self._packed
         if key != (s, alphabet):  # one tuple, so racing calls never mix two tables
-            if len(alphabet) > 256:
-                raise ValueError(f"{len(alphabet)} generators do not fit in one byte each")
-            code = {g: i for i, g in enumerate(alphabet)}.__getitem__
+            code = _coder(alphabet)
             packed = [_pack_rule(r, s, code) for r in self.rules]
             object.__setattr__(self, "_packed", ((s, alphabet), code, packed))
         return code, packed
+
+    def _dense_rules(self, g: int, alphabet: tuple, width: int) -> tuple:
+        """The coder of words and, per rule, its coded lhs and
+        ``[(coded u, P, e, |r|_1)]`` for its rhs at slot width ``width``."""
+        key, code, tables = self._dense
+        if key != (g, alphabet):
+            key, code, tables = (g, alphabet), _coder(alphabet), {}
+        rows = tables.get(width)
+        if rows is None:  # one tuple, so racing calls never mix two tables
+            rows = [_dense_rule(r, g, width, code) for r in self.rules]
+            object.__setattr__(self, "_dense", (key, code, {**tables, width: rows}))
+        return code, rows
 
     def find_redex(self, word: Word) -> tuple[int, int] | None:
         """(rule index, position) of the first matching rule's leftmost match."""
@@ -224,6 +331,32 @@ class RewriteSystem:
     def normal_form(self, x: AlgElement) -> AlgElement:
         """``reduce_once`` to a fixed point, in one pass from the largest word down.
 
+        Calls without puncture variables whose A-exponents span at most
+        ``DENSE_SPAN_CAP`` run on dense coefficients, the others on sparse ones.
+        """
+        g = self._dense_grid(x)
+        terms, _ = self._sparse_nf(x) if g is None else self._dense_nf(x, g)
+        return AlgElement._make(self.arity, terms)
+
+    def _call_alphabet(self, x: AlgElement) -> tuple:
+        """The rule alphabet plus the generators that only ``x`` uses, sorted."""
+        alphabet = self._alphabet
+        if extra := set().union(*x._terms).difference(alphabet):
+            return tuple(sorted(extra.union(alphabet)))
+        return alphabet
+
+    def _dense_grid(self, x: AlgElement) -> int | None:
+        """The gcd g of the A-exponents of the rules and ``x`` (1 if all are 0),
+        or None when ``x`` must take the sparse path."""
+        if self._grid is None:
+            return None
+        grid = _a_grid(m for c in x._terms.values() for m in c._terms)
+        return None if grid is None else gcd(self._grid, grid) or 1
+
+    def _sparse_nf(self, x: AlgElement) -> tuple[dict, int]:
+        """The terms of the normal form and the number of steps, on coefficients
+        that are maps from packed monomials to ints.
+
         A monomial the call forms is an input monomial times at most
         ``STEP_BUDGET`` rule monomials (more steps raise), so packing in
         base 2^s with 2^(s-1) above that bound on its fields is exact.
@@ -232,9 +365,7 @@ class RewriteSystem:
         reach = _max_field(monos) + STEP_BUDGET * self._rule_field
         s = reach.bit_length() + 1
         enc = {m: _pack(m, s) for m in monos}
-        alphabet = self._alphabet
-        if extra := set().union(*x._terms).difference(alphabet):  # generators only the input uses
-            alphabet = tuple(sorted(extra.union(alphabet)))
+        alphabet = self._call_alphabet(x)
         code, packed = self._packed_rules(s, alphabet)
         terms = {bytes(map(code, w)): {enc[m]: k for m, k in c._terms.items()} for w, c in x._terms.items()}
         pending = sorted((len(w), w) for w in terms)  # a max-queue: pop() is the largest
@@ -271,10 +402,75 @@ class RewriteSystem:
         for c in out.values():
             for p in c.keys() - dec.keys():
                 dec[p] = _unpack(p, s, self.arity)
-        return AlgElement._make(
-            self.arity,
-            {w: LaurentPoly._make(self.arity, {dec[p]: k for p, k in c.items()}) for w, c in out.items()},
-        )
+        terms = {w: LaurentPoly._make(self.arity, {dec[p]: k for p, k in c.items()}) for w, c in out.items()}
+        return terms, steps
+
+    def _dense_nf(self, x: AlgElement, g: int) -> tuple[dict, int]:
+        """``_sparse_nf`` on dense coefficients ``[P, e, b]`` (see the module
+        docstring), for ``g = _dense_grid(x)``.
+
+        A word whose bound b reaches the limit 2^(W-1) is reduced as if it were
+        nonzero, and the call runs again at a width above every bound of this
+        run.  That run's words are among this run's, with bounds no larger, so
+        it is exact; only a run that ran out of steps after such a word can
+        need another.
+        """
+        alphabet = self._call_alphabet(x)
+        width = DENSE_WIDTH
+        while True:
+            code, rows = self._dense_rules(g, alphabet, width)
+            limit = 1 << (width - 1)
+            terms = {bytes(map(code, w)): [*_dense_coeff(c, g, width)] for w, c in x._terms.items()}
+            pending = sorted((len(w), w) for w in terms)
+            out = []
+            steps = top = 0  # top: the largest bound at or over the limit
+            while pending:
+                n, word = pending.pop()
+                p, e, b = terms.pop(word)
+                if b >= limit:
+                    top = max(top, b)
+                elif not p:  # cancelled
+                    continue
+                for lhs, rhs in rows:
+                    pos = word.find(lhs)
+                    if pos >= 0:
+                        break
+                else:
+                    out.append((word, p, e))
+                    continue
+                steps += 1
+                if steps > STEP_BUDGET:
+                    if top:
+                        break
+                    raise StepBudgetExceeded(f"no normal form after {STEP_BUDGET} steps")
+                pre, post = word[:pos], word[pos + len(lhs) :]
+                key = (n, word)
+                for u, q, f, c in rhs:  # acc += r * (p, e, b)
+                    new = pre + u + post
+                    nk = (len(new), new)
+                    assert nk < key, "reduction step did not decrease the term order"
+                    acc = terms.get(new)
+                    if acc is None:
+                        terms[new] = [q * p, f + e, c * b]
+                        insort(pending, nk)
+                        continue
+                    f += e
+                    d = f - acc[1]
+                    if d >= 0:
+                        acc[0] += (q * p) << (width * d)
+                    else:
+                        acc[0] = (acc[0] << (width * -d)) + q * p
+                        acc[1] = f
+                    acc[2] += c * b
+            if not top:
+                monos = _Monomials(self.arity)
+                terms = {
+                    tuple(map(alphabet.__getitem__, w)): LaurentPoly._make(self.arity, _dense_poly(p, e, g, width, monos))
+                    for w, p, e in out
+                }
+                return terms, steps
+            while width <= top.bit_length():
+                width *= 2
 
 
 @dataclass(frozen=True)

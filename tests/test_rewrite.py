@@ -258,6 +258,9 @@ def test_generators_only_the_input_uses(monkeypatch):
         ),
     )
     assert system._alphabet == (a, c)
+    # x takes the dense path; x times ``wide``, whose A-exponents span more
+    # than the cap, the sparse one, in the same number of steps
+    wide = const(1, 0) + a_power(rewrite.DENSE_SPAN_CAP, 0)
     rng = random.Random("input-only generators")
     seen = {}
     for i in range(60):
@@ -267,16 +270,17 @@ def test_generators_only_the_input_uses(monkeypatch):
             word = tuple(rng.choice(letters) for _ in range(rng.randint(0, 7)))
             x = x + AlgElement.from_word(word, 0, rng.choice((-2, -1, 1, 2)))
         expected, steps, _ = _reduce_to_fixed_point(system, x)
-        monkeypatch.setattr(rewrite, "STEP_BUDGET", steps)
-        assert system.normal_form(x) == expected
-        # the cached table is keyed by the alphabet of the last call
-        (_, alphabet), _, _ = system._packed
-        assert alphabet == tuple(sorted(set().union((a, c), *x.support())))
+        for y, want, table in ((x, expected, "_dense"), (x.scale(wide), expected.scale(wide), "_packed")):
+            monkeypatch.setattr(rewrite, "STEP_BUDGET", steps)
+            assert system.normal_form(y) == want
+            # the cached table of the path taken is keyed by the alphabet of the last call
+            (_, alphabet), _, _ = getattr(system, table)
+            assert alphabet == tuple(sorted(set().union((a, c), *x.support())))
+            if steps:
+                monkeypatch.setattr(rewrite, "STEP_BUDGET", steps - 1)
+                with pytest.raises(StepBudgetExceeded):
+                    system.normal_form(y)
         seen[alphabet] = seen.get(alphabet, 0) + 1
-        if steps:
-            monkeypatch.setattr(rewrite, "STEP_BUDGET", steps - 1)
-            with pytest.raises(StepBudgetExceeded):
-                system.normal_form(x)
         monkeypatch.undo()
     assert seen[a, c] >= 30 and seen[big_a, a, b, c] > 10
     # a code is one byte, so one call takes at most 256 generators
@@ -546,9 +550,11 @@ def test_completion_report_agrees_with_separate_normal_forms(surface, variant):
     assert bool(report.failures) == (variant == VARIANT_LITERAL)
 
 
-@pytest.mark.parametrize("surface", [Surface(0, 3), Surface(1, 1)], ids=str)
+@pytest.mark.parametrize("surface", [Surface(0, 3), Surface(1, 1), Surface(1, 0)], ids=str)
 def test_normal_form_exact_at_huge_exponents(surface, monkeypatch):
-    # Packed monomials must not overflow into a neighbouring field.
+    # Packed monomials must not overflow into a neighbouring field.  F1,0 has
+    # no puncture variable: its single huge monomials take the dense path at
+    # huge offsets, and the sums below span more than its cap.
     alg = algebra_for(surface)
     rng = random.Random(f"huge {surface}")
     # A^(+-2^70) is half_a +-2^71; a field of 2^72 - 1 fills its bits.
@@ -557,14 +563,17 @@ def test_normal_form_exact_at_huge_exponents(surface, monkeypatch):
         x = _random_element(alg, rng, max_len=4)
         vexp = tuple(rng.choice((2**65, -(2**65))) for _ in range(alg.arity))
         coeff = LaurentPoly(alg.arity, [(Monomial(halves[i % 4], vexp), 1)])
-        x = x.scale(coeff) + x
+        far, wide = x.scale(coeff), x.scale(coeff) + x
+        if not alg.arity:
+            assert alg.system._dense_grid(far) and alg.system._dense_grid(wide) is None
         if not i:
             monkeypatch.setattr(rewrite, "STEP_BUDGET", 10**12)
-        assert alg.system.normal_form(x) == _reduce_to_fixed_point(alg.system, x)[0]
+        for y in (far, wide):
+            assert alg.system.normal_form(y) == _reduce_to_fixed_point(alg.system, y)[0]
         monkeypatch.undo()
     g1, g2, g3 = alg.generators[:3]
     word = AlgElement.from_word((g2, g1, g3, g2), alg.arity, a_power(2**70, alg.arity))
-    x = word.scale(v_power(1, alg.arity, -(2**65)))
+    x = word.scale(v_power(1, alg.arity, -(2**65))) if alg.arity else word
     assert alg.nf(x) == _reduce_to_fixed_point(alg.system, x)[0]
 
 
@@ -580,6 +589,57 @@ def test_packing_holds_the_exponents_of_every_step(monkeypatch):
     for budget in (11, 100_000):
         monkeypatch.setattr(rewrite, "STEP_BUDGET", budget)
         assert RewriteSystem(1, (rule,)).normal_form(x) == expected
+
+
+def _dense_corpus(alg, rng):
+    """A sum whose L1 bound equals a coefficient, then random Laurent
+    coefficients (A^(1/2) powers included) on words of length up to 11, with
+    terms that cancel."""
+    n, (g1, g2) = alg.arity, alg.generators[:2]
+    # g2*g1 -> A^2*g1*g2 + (two terms)*w, so g1*g2 gets 150*A^2 and its bound
+    # is 150; the bound of w is 100
+    yield AlgElement.from_word((g1, g2), n, a_power(2, n) * 100) + AlgElement.from_word((g2, g1), n, const(50, n))
+    for _ in range(10):
+        x = AlgElement.zero(n)
+        for _ in range(rng.randint(1, 3)):
+            word = tuple(rng.choice(alg.generators) for _ in range(rng.randint(0, 11)))
+            monos = [(Monomial(rng.randint(-6, 6), (0,) * n), rng.choice((-3, -1, 2, 2**29 + 1))) for _ in range(3)]
+            term = AlgElement.from_word(word, n, LaurentPoly(n, monos) or const(1, n))
+            reduct = alg.system.reduce_once(term) if rng.random() < 0.5 else None  # its terms then cancel
+            x = x + term - (reduct or AlgElement.zero(n))
+        yield x
+
+
+@pytest.mark.parametrize("surface, variant", TORUS_SYSTEMS, ids=str)
+def test_dense_coefficients_match_the_sparse_kernel(surface, variant, monkeypatch):
+    # Each input also starts at 8-bit slots, where bounds of 2^7 and more
+    # force the rerun.
+    alg = algebra_for(surface, variant)
+    system, n = alg.system, alg.arity
+    reruns = []
+    for x in _dense_corpus(alg, random.Random(f"dense {surface} {variant}")):
+        grid = system._dense_grid(x)
+        assert grid in (1, 2)
+        want, steps = system._sparse_nf(x)
+        for width in (rewrite.DENSE_WIDTH, 8):
+            monkeypatch.setattr(rewrite, "DENSE_WIDTH", width)
+            fresh = RewriteSystem(n, system.rules)  # its dense table holds the widths of one call
+            assert fresh._dense_nf(x, grid) == (want, steps)
+            reruns.append(len(fresh._dense[2]) - 1)
+        monkeypatch.setattr(rewrite, "STEP_BUDGET", steps)
+        assert system.normal_form(x) == AlgElement(n, want)
+        # v1, and A-exponents spread over more than the cap, take the sparse path
+        wide = a_power(-1, n) + a_power(rewrite.DENSE_SPAN_CAP, n)
+        for c in (wide, v_power(1, n)) if n else (wide,):
+            y = x.scale(c)
+            assert system._dense_grid(y) is None
+            assert system.normal_form(y) == AlgElement(n, want).scale(c)
+        if steps:
+            monkeypatch.setattr(rewrite, "STEP_BUDGET", steps - 1)
+            with pytest.raises(StepBudgetExceeded):
+                system.normal_form(x)
+        monkeypatch.undo()
+    assert reruns[:2] == [0, 1] and any(reruns[2::2]) and sum(reruns[3::2]) >= 5  # from 32 and from 8 bits
 
 
 def test_pack_round_trips_at_the_field_limits():
@@ -651,18 +711,45 @@ def test_complete_matches_the_rebuilding_reference(surface):
             assert report.joinable == ref.joinable
 
 
-def test_extended_system_inherits_what_holds_for_its_rules():
+def test_extended_system_inherits_what_holds_for_its_rules(monkeypatch):
     alg = algebra_for(Surface(1, 1))
     raw = RewriteSystem(alg.arity, alg.rules)
-    x = AlgElement.from_word(tuple(alg.generators) * 3, alg.arity)
-    raw.normal_form(x)  # builds the packed table
+    g1, g2, g3 = alg.generators
+    x = AlgElement.from_word((g1, g2, g3) * 3, alg.arity)
+    rerun = AlgElement.from_word((g2,) * 7 + (g1,) * 7, alg.arity)  # its bounds pass 2^31
+    v1 = x.scale(v_power(1, alg.arity))
+    for y in (x, rerun, v1):  # builds the dense table at two widths, and the packed table
+        raw.normal_form(y)
     pairs = critical_pairs(raw, 6)
     rule = alg.system.rules[len(raw.rules)]
+    packed = Counter()
+
+    def counting(name):
+        original = getattr(rewrite, name)
+
+        def counted(*args):
+            packed[name] += 1
+            return original(*args)
+
+        return counted
+
+    for name in ("_pack_rule", "_dense_rule"):
+        monkeypatch.setattr(rewrite, name, counting(name))
     new = raw._extended(rule)
+    monkeypatch.undo()
     assert new == RewriteSystem(alg.arity, (*raw.rules, rule))
-    assert new._packed[0] == raw._packed[0] and new._packed[2][:-1] == raw._packed[2]
+    # each table is inherited with the same coder and old rows, and only the new rule's row is packed
+    assert new._packed[0] == raw._packed[0] and new._packed[1] is raw._packed[1]
+    assert all(a is b for a, b in zip(new._packed[2], raw._packed[2])) and len(new._packed[2]) == len(raw.rules) + 1
     assert new._packed[2] == RewriteSystem(alg.arity, new.rules)._packed_rules(*raw._packed[0])[1]
-    assert new.normal_form(x) == RewriteSystem(alg.arity, new.rules).normal_form(x)
+    (key, code, tables), (new_key, new_code, new_tables) = raw._dense, new._dense
+    assert new_key == key == (2, alg.generators) and new_code is code and sorted(new_tables) == sorted(tables) == [32, 64]
+    for width, rows in tables.items():
+        assert all(a is b for a, b in zip(new_tables[width], rows)) and len(new_tables[width]) == len(rows) + 1
+        assert new_tables[width] == RewriteSystem(alg.arity, new.rules)._dense_rules(*key, width)[1]
+    assert packed == {"_pack_rule": 1, "_dense_rule": 2}
+    for y in (x, rerun, v1):
+        assert new.normal_form(y) == RewriteSystem(alg.arity, new.rules).normal_form(y)
     # the old pairs are reused, the new rule's are built; the old system is unchanged
     new_pairs = critical_pairs(new, 6)
     assert set(map(id, pairs)) <= set(map(id, new_pairs))
