@@ -26,17 +26,20 @@ search is ``bytes.find`` of each coded lhs in rule order.  Only final words
 are decoded.  Coefficients take one of two forms, with the same steps and
 results:
 
-* Dense, when neither the rules nor the input have a puncture variable
-  and the A-exponents of each rule, and of the whole input, span at most
-  ``DENSE_SPAN_CAP`` (the tori).  A coefficient is one int P, an offset e
-  and a bound b: slot j of P, W bits wide, holds the coefficient of
-  A^((e+j)*g/2), g the gcd of every A-exponent of the call (2 on the
-  tori).  So ``acc += r*c`` is one big-int product, shift and addition
-  (Kronecker substitution), and b grows by |r|_1 * b_c, which does not
-  depend on W.  Sums and products of P are exact at any W; the zero test
-  and the decode are exact while b < 2^(W-1).  A call starts at
-  W = ``DENSE_WIDTH``; if a bound reaches 2^(W-1), it reruns once at a width
-  above every bound of the first run.
+* Dense, when neither the rules nor the input have a puncture variable, no
+  rule's A-exponent is more than ``DENSE_SPAN_CAP`` factors of A^(1/2)
+  from zero and the A-exponents of the whole input span at most that (the
+  tori).  A coefficient is one int P, an offset e and a bound b: slot j of
+  P, W bits wide, holds the coefficient of A^((e+j)*g/2), g the gcd of
+  every A-exponent of the call (2 on the tori).  So ``acc += r*c`` is one
+  big-int product, shift and addition (Kronecker substitution), and b
+  grows by |r|_1 * b_c, which does not depend on W.  Sums and products of P
+  are exact at any W; the zero test and the decode are exact while
+  b < 2^(W-1).  A call starts at W = ``DENSE_WIDTH``; if a bound reaches
+  2^(W-1), it reruns once at a width above every bound of the first run.
+  Offsets drift by the rules' exponents, so a step that adds to a word at
+  an offset more than the cap from the word's own sends the call to the
+  sparse form: no shift leaves a gap wider than the cap.
 * Sparse otherwise (the spheres, v1 on F1,1, wider spans): maps from
   packed monomials to ints, each monomial one int in balanced base 2^s,
   wide enough for every monomial the call can form, so a monomial product
@@ -87,8 +90,9 @@ class StepBudgetExceeded(RuntimeError):
 
 # The most reduction steps that one ``normal_form`` call may take.
 STEP_BUDGET = 100_000
-# The widest A-exponent span, in A^(1/2) factors, of the rules and of the input
-# of a call on dense coefficients; a wider one would make sparse data dense.
+# The largest distance, in A^(1/2) factors, of a rule's A-exponent from zero,
+# of the input's A-exponents from each other and of the offsets a step adds
+# to each other on dense coefficients; more would make sparse data dense.
 DENSE_SPAN_CAP = 1024
 # The slot width in bits of a call's first run on dense coefficients; a
 # multiple of 8, so that a slot is whole bytes.
@@ -160,7 +164,7 @@ class Rule:
         # Not fields: what a system needs of each of its rules, found once per rule.
         monos = [m for c in self.rhs._terms.values() for m in c._terms]
         object.__setattr__(self, "_field", _max_field(monos))
-        object.__setattr__(self, "_grid", _a_grid(monos))
+        object.__setattr__(self, "_grid", None if self._field > DENSE_SPAN_CAP else _a_grid(monos))
 
     def __str__(self) -> str:
         return f"{word_str(self.lhs)} -> {self.rhs}"
@@ -187,10 +191,11 @@ def _dense_coeff(c: LaurentPoly, g: int, width: int) -> tuple[int, int, int]:
     return p, e, sum(map(abs, c._terms.values()))
 
 
-def _dense_poly(p: int, e: int, g: int, width: int, monos: dict) -> dict:
-    """Inverse of ``_dense_coeff``, as a term map; ``monos`` maps an A-exponent
-    to its monomial.  Adding 2^(width-1) to each balanced digit makes every
-    digit ``width/8`` unsigned bytes, and the zero digit 2^(width-1)."""
+def _dense_poly(p: int, e: int, g: int, width: int, monos: dict, vexp: tuple) -> dict:
+    """Inverse of ``_dense_coeff``, as a term map; ``monos`` caches the monomial
+    A^(h/2) * v^vexp of each A-exponent h.  Adding 2^(width-1) to each balanced
+    digit makes every digit ``width/8`` unsigned bytes, and the zero digit
+    2^(width-1)."""
     size, half = width // 8, 1 << (width - 1)
     n = p.bit_length() // width + 2  # the top nonzero digit is below n
     raw = (p + int.from_bytes((bytes(size - 1) + b"\x80") * n, "little")).to_bytes(size * n, "little")
@@ -198,18 +203,12 @@ def _dense_poly(p: int, e: int, g: int, width: int, monos: dict) -> dict:
         digits = struct.unpack(f"<{n}{fmt}", raw)
     else:
         digits = [int.from_bytes(raw[i : i + size], "little") for i in range(0, len(raw), size)]
-    return {monos[(e + j) * g]: d - half for j, d in enumerate(digits) if d != half}
-
-
-class _Monomials(dict):
-    """A-exponent -> the monomial A^(h/2) over ``arity`` puncture variables."""
-
-    def __init__(self, arity: int):
-        self.vexp = (0,) * arity
-
-    def __missing__(self, h: int) -> Monomial:
-        m = self[h] = tuple.__new__(Monomial, (h, self.vexp))
-        return m
+    terms = {}
+    for j, d in enumerate(digits):
+        if d != half:
+            h = (e + j) * g
+            terms[monos.get(h) or monos.setdefault(h, tuple.__new__(Monomial, (h, vexp)))] = d - half
+    return terms
 
 
 def _coder(alphabet: tuple):
@@ -331,11 +330,12 @@ class RewriteSystem:
     def normal_form(self, x: AlgElement) -> AlgElement:
         """``reduce_once`` to a fixed point, in one pass from the largest word down.
 
-        Calls without puncture variables whose A-exponents span at most
+        Calls without puncture variables whose A-exponents keep within
         ``DENSE_SPAN_CAP`` run on dense coefficients, the others on sparse ones.
         """
         g = self._dense_grid(x)
-        terms, _ = self._sparse_nf(x) if g is None else self._dense_nf(x, g)
+        dense = None if g is None else self._dense_nf(x, g)
+        terms, _ = dense or self._sparse_nf(x)
         return AlgElement._make(self.arity, terms)
 
     def _call_alphabet(self, x: AlgElement) -> tuple:
@@ -405,9 +405,11 @@ class RewriteSystem:
         terms = {w: LaurentPoly._make(self.arity, {dec[p]: k for p, k in c.items()}) for w, c in out.items()}
         return terms, steps
 
-    def _dense_nf(self, x: AlgElement, g: int) -> tuple[dict, int]:
+    def _dense_nf(self, x: AlgElement, g: int) -> tuple[dict, int] | None:
         """``_sparse_nf`` on dense coefficients ``[P, e, b]`` (see the module
-        docstring), for ``g = _dense_grid(x)``.
+        docstring), for ``g = _dense_grid(x)``; None if a step adds to a word
+        at an offset more than ``DENSE_SPAN_CAP`` factors of A^(1/2) from the
+        word's.
 
         A word whose bound b reaches the limit 2^(W-1) is reduced as if it were
         nonzero, and the call runs again at a width above every bound of this
@@ -416,7 +418,7 @@ class RewriteSystem:
         need another.
         """
         alphabet = self._call_alphabet(x)
-        width = DENSE_WIDTH
+        width, reach = DENSE_WIDTH, DENSE_SPAN_CAP // g  # reach: the cap in slots
         while True:
             code, rows = self._dense_rules(g, alphabet, width)
             limit = 1 << (width - 1)
@@ -456,6 +458,8 @@ class RewriteSystem:
                         continue
                     f += e
                     d = f - acc[1]
+                    if not -reach <= d <= reach:
+                        return None
                     if d >= 0:
                         acc[0] += (q * p) << (width * d)
                     else:
@@ -463,9 +467,9 @@ class RewriteSystem:
                         acc[1] = f
                     acc[2] += c * b
             if not top:
-                monos = _Monomials(self.arity)
+                monos, vexp = {}, (0,) * self.arity
                 terms = {
-                    tuple(map(alphabet.__getitem__, w)): LaurentPoly._make(self.arity, _dense_poly(p, e, g, width, monos))
+                    tuple(map(alphabet.__getitem__, w)): LaurentPoly._make(self.arity, _dense_poly(p, e, g, width, monos, vexp))
                     for w, p, e in out
                 }
                 return terms, steps

@@ -575,6 +575,21 @@ def test_normal_form_exact_at_huge_exponents(surface, monkeypatch):
     word = AlgElement.from_word((g2, g1, g3, g2), alg.arity, a_power(2**70, alg.arity))
     x = word.scale(v_power(1, alg.arity, -(2**65))) if alg.arity else word
     assert alg.nf(x) == _reduce_to_fixed_point(alg.system, x)[0]
+    if not alg.arity:
+        # Each step moves a dense offset by the rule's exponent.  A rule
+        # exponent over the cap sends every call to the sparse path: in
+        # a*a + A*a the two terms of a would sit 2^69 slots apart.  Under
+        # the cap, offsets that drift more than the cap apart (a from the
+        # input and a after two steps, 2 slots apart at g = 1024) send the
+        # call there when they meet.
+        a = Generator("a")
+        for k, length, h in ((2**70, 2, 1), (512, 3, 0)):  # the input a^length + A^h*a
+            system = RewriteSystem(0, (Rule((a, a), AlgElement.from_word((a,), 0, a_power(k, 0))),))
+            x = AlgElement.from_word((a,) * length, 0) + AlgElement.from_word((a,), 0, a_power(h, 0))
+            grid = system._dense_grid(x)
+            assert grid is None if k > rewrite.DENSE_SPAN_CAP else system._dense_nf(x, grid) is None
+            want = AlgElement.from_word((a,), 0, a_power(k * (length - 1), 0) + a_power(h, 0))
+            assert system.normal_form(x) == _reduce_to_fixed_point(system, x)[0] == want
 
 
 def test_packing_holds_the_exponents_of_every_step(monkeypatch):
@@ -613,19 +628,21 @@ def _dense_corpus(alg, rng):
 @pytest.mark.parametrize("surface, variant", TORUS_SYSTEMS, ids=str)
 def test_dense_coefficients_match_the_sparse_kernel(surface, variant, monkeypatch):
     # Each input also starts at 8-bit slots, where bounds of 2^7 and more
-    # force the rerun.
+    # force the rerun, and at 24-bit slots, whose reruns (48, 96 bits) decode
+    # without a struct format.
     alg = algebra_for(surface, variant)
     system, n = alg.system, alg.arity
-    reruns = []
+    widths = (rewrite.DENSE_WIDTH, 8, 24)
+    reruns = {width: [] for width in widths}
     for x in _dense_corpus(alg, random.Random(f"dense {surface} {variant}")):
         grid = system._dense_grid(x)
         assert grid in (1, 2)
         want, steps = system._sparse_nf(x)
-        for width in (rewrite.DENSE_WIDTH, 8):
+        for width in widths:
             monkeypatch.setattr(rewrite, "DENSE_WIDTH", width)
             fresh = RewriteSystem(n, system.rules)  # its dense table holds the widths of one call
             assert fresh._dense_nf(x, grid) == (want, steps)
-            reruns.append(len(fresh._dense[2]) - 1)
+            reruns[width].append(len(fresh._dense[2]) - 1)
         monkeypatch.setattr(rewrite, "STEP_BUDGET", steps)
         assert system.normal_form(x) == AlgElement(n, want)
         # v1, and A-exponents spread over more than the cap, take the sparse path
@@ -639,7 +656,8 @@ def test_dense_coefficients_match_the_sparse_kernel(surface, variant, monkeypatc
             with pytest.raises(StepBudgetExceeded):
                 system.normal_form(x)
         monkeypatch.undo()
-    assert reruns[:2] == [0, 1] and any(reruns[2::2]) and sum(reruns[3::2]) >= 5  # from 32 and from 8 bits
+    assert [r[0] for r in reruns.values()] == [0, 1, 0]  # the first input's bound is 150
+    assert any(reruns[widths[0]]) and sum(reruns[8]) >= 5 and sum(reruns[24]) >= 2
 
 
 def test_pack_round_trips_at_the_field_limits():
