@@ -26,36 +26,35 @@ search is ``bytes.find`` of each coded lhs in rule order.  Only final words
 are decoded.  Coefficients take one of two forms, with the same steps and
 results:
 
-* Dense, when neither the rules nor the input have a puncture variable, no
-  rule's A-exponent is more than ``DENSE_SPAN_CAP`` factors of A^(1/2)
-  from zero and the A-exponents of the whole input span at most that (the
-  tori).  A coefficient is one int P, an offset e and a bound b: slot j of
-  P, W bits wide, holds the coefficient of A^((e+j)*g/2), g the gcd of
-  every A-exponent of the call (2 on the tori).  So ``acc += r*c`` is one
-  big-int product, shift and addition (Kronecker substitution), and b
-  grows by |r|_1 * b_c, which does not depend on W.  Sums and products of P
-  are exact at any W; the zero test and the decode are exact while
-  b < 2^(W-1).  A call starts at W = ``DENSE_WIDTH``; if a bound reaches
-  2^(W-1), it reruns once at a width above every bound of the first run.
-  Offsets drift by the rules' exponents, so a step that adds to a word at
-  an offset more than the cap from the word's own sends the call to the
-  sparse form: no shift leaves a gap wider than the cap.
-* Sparse otherwise (the spheres, v1 on F1,1, wider spans): maps from
-  packed monomials to ints, each monomial one int in balanced base 2^s,
-  wide enough for every monomial the call can form, so a monomial product
-  is an int addition.
+* Dense (the tori): a coefficient is one int P, an offset e and a bound b.
+  Slot j of P, ``DENSE_WIDTH`` (32) bits wide, holds the coefficient of
+  A^((e+j)*g/2), g the gcd of every A-exponent of the call (2 on the
+  tori).  So ``acc += r*c`` is one big-int product, shift and addition
+  (Kronecker substitution), and b grows by |r|_1 * b_c.  Sums and products
+  of P are exact; the zero test and the decode are exact while b < 2^31.
+* Sparse: maps from packed monomials to ints, each monomial one int in
+  balanced base 2^s, wide enough for every monomial the call can form, so
+  a monomial product is an int addition.
+
+A call runs dense unless ``_dense_nf`` hands it to the sparse form, in
+four cases: a puncture variable in the rules or the input (the spheres,
+v1 on F1,1); A-exponents that span more than ``DENSE_SPAN_CAP`` factors of
+A^(1/2) in the input or in one rule; a step that adds to a word at an
+offset more than the cap from the word's own, so that no shift leaves a
+gap wider than the cap; or a word whose bound reaches 2^31.
 
 The one-step reduct of a coefficient-1 word is built by concatenation, so
 critical pairs multiply no ring or algebra elements.
 
 A system builds what depends only on its rules once, on first use, and
 keeps it in attributes that are not fields: its packed rule table (per
-packing width s and alphabet), its dense rule tables (per g and alphabet,
-one per slot width W), the ambiguities of each pair of rules and each
-critical pair, keyed by its ambiguity ``(word, ia, ib, pos)``.  Completion
-only appends rules, which keeps every old rule's index, so the system
-``complete`` extends by a rule (``_extended``) inherits all of them; only
-the new rule's pairs are built and only its row of each table is packed.
+packing width s and alphabet), its dense rule table (per g and alphabet),
+the ambiguities of each pair of rules and each critical pair, keyed by its
+ambiguity ``(word, ia, ib, pos)``.  Completion only appends rules, which
+keeps every old rule's index, so the system ``complete`` extends by a rule
+(``_extended``) inherits the ambiguities, the pairs and the dense table;
+only the new rule's pairs are built and only its row of the table is
+coded.
 """
 
 from __future__ import annotations
@@ -90,15 +89,13 @@ class StepBudgetExceeded(RuntimeError):
 
 # The most reduction steps that one ``normal_form`` call may take.
 STEP_BUDGET = 100_000
-# The largest distance, in A^(1/2) factors, of a rule's A-exponent from zero,
-# of the input's A-exponents from each other and of the offsets a step adds
-# to each other on dense coefficients; more would make sparse data dense.
+# The largest distance, in A^(1/2) factors, of the A-exponents of the input
+# or of one rule from each other and of the offsets a step adds to each
+# other on dense coefficients; more would make sparse data dense.
 DENSE_SPAN_CAP = 1024
-# The slot width in bits of a call's first run on dense coefficients; a
-# multiple of 8, so that a slot is whole bytes.
+# The slot width in bits of a dense coefficient; ``_dense_poly`` reads each
+# slot as one 4-byte ``struct`` "I".
 DENSE_WIDTH = 32
-# struct formats of the slots that are 1, 2, 4 or 8 bytes wide.
-_UNPACK = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 
 def find_subword(word: Word, sub: Word) -> int:
@@ -164,7 +161,7 @@ class Rule:
         # Not fields: what a system needs of each of its rules, found once per rule.
         monos = [m for c in self.rhs._terms.values() for m in c._terms]
         object.__setattr__(self, "_field", _max_field(monos))
-        object.__setattr__(self, "_grid", None if self._field > DENSE_SPAN_CAP else _a_grid(monos))
+        object.__setattr__(self, "_grid", _a_grid(monos))
 
     def __str__(self) -> str:
         return f"{word_str(self.lhs)} -> {self.rhs}"
@@ -183,28 +180,23 @@ class Rule:
         return cls(lead, (AlgElement.from_word(lead, diff.arity, c) - diff).scale(cinv))
 
 
-def _dense_coeff(c: LaurentPoly, g: int, width: int) -> tuple[int, int, int]:
-    """``(P, e, |c|_1)``: slot j of P, ``width`` bits wide, holds the coefficient
-    of A^((e+j)*g/2) in ``c``; every A-exponent of ``c`` is a multiple of g/2."""
+def _dense_coeff(c: LaurentPoly, g: int) -> tuple[int, int, int]:
+    """``(P, e, |c|_1)``: slot j of P holds the coefficient of A^((e+j)*g/2)
+    in ``c``; every A-exponent of ``c`` is a multiple of g/2."""
     e = min(m.half_a for m in c._terms) // g
-    p = sum(k << (width * (m.half_a // g - e)) for m, k in c._terms.items())
+    p = sum(k << (DENSE_WIDTH * (m.half_a // g - e)) for m, k in c._terms.items())
     return p, e, sum(map(abs, c._terms.values()))
 
 
-def _dense_poly(p: int, e: int, g: int, width: int, monos: dict, vexp: tuple) -> dict:
+def _dense_poly(p: int, e: int, g: int, monos: dict, vexp: tuple) -> dict:
     """Inverse of ``_dense_coeff``, as a term map; ``monos`` caches the monomial
-    A^(h/2) * v^vexp of each A-exponent h.  Adding 2^(width-1) to each balanced
-    digit makes every digit ``width/8`` unsigned bytes, and the zero digit
-    2^(width-1)."""
-    size, half = width // 8, 1 << (width - 1)
-    n = p.bit_length() // width + 2  # the top nonzero digit is below n
-    raw = (p + int.from_bytes((bytes(size - 1) + b"\x80") * n, "little")).to_bytes(size * n, "little")
-    if fmt := _UNPACK.get(size):
-        digits = struct.unpack(f"<{n}{fmt}", raw)
-    else:
-        digits = [int.from_bytes(raw[i : i + size], "little") for i in range(0, len(raw), size)]
+    A^(h/2) * v^vexp of each A-exponent h.  Adding 2^31 to each balanced
+    digit makes every digit an unsigned 32-bit int, and the zero digit 2^31."""
+    half = 1 << (DENSE_WIDTH - 1)
+    n = p.bit_length() // DENSE_WIDTH + 2  # the top nonzero digit is below n
+    raw = (p + int.from_bytes(b"\0\0\0\x80" * n, "little")).to_bytes(4 * n, "little")
     terms = {}
-    for j, d in enumerate(digits):
+    for j, d in enumerate(struct.unpack(f"<{n}I", raw)):
         if d != half:
             h = (e + j) * g
             terms[monos.get(h) or monos.setdefault(h, tuple.__new__(Monomial, (h, vexp)))] = d - half
@@ -224,9 +216,9 @@ def _pack_rule(rule: Rule, s: int, code) -> tuple:
     return bytes(map(code, rule.lhs)), rhs
 
 
-def _dense_rule(rule: Rule, g: int, width: int, code) -> tuple:
+def _dense_rule(rule: Rule, g: int, code) -> tuple:
     """``rule`` as its coded lhs and ``[(coded u, *_dense_coeff(r))]``."""
-    rhs = [(bytes(map(code, u)), *_dense_coeff(c, g, width)) for u, c in rule.rhs._terms.items()]
+    rhs = [(bytes(map(code, u)), *_dense_coeff(c, g)) for u, c in rule.rhs._terms.items()]
     return bytes(map(code, rule.lhs)), rhs
 
 
@@ -246,25 +238,21 @@ class RewriteSystem:
         gens = {g for r in self.rules for w in (r.lhs, *r.rhs._terms) for g in w}
         object.__setattr__(self, "_alphabet", tuple(sorted(gens)))
         object.__setattr__(self, "_packed", (None, None, None))  # the last (s, alphabet), its coder, its table
-        object.__setattr__(self, "_dense", (None, None, None))  # the last (g, alphabet), its coder, {W: table}
+        object.__setattr__(self, "_dense", (None, None, None))  # the last (g, alphabet), its coder, its table
         object.__setattr__(self, "_overlaps", {})  # (ia, ib) -> ((word, pos), ...) of rules ia and ib
         object.__setattr__(self, "_pairs", {})  # ambiguity (word, ia, ib, pos) -> its CriticalPair
 
     def _extended(self, rule: Rule) -> RewriteSystem:
         """This system with ``rule`` appended.  Appending keeps every old rule's
-        index, so the ambiguities, critical pairs and rule tables of the old
-        rules hold for the new system, which starts from copies of them."""
+        index, so the ambiguities, critical pairs and dense rule table of the
+        old rules hold for the new system, which starts from copies of them."""
         new = RewriteSystem(self.arity, (*self.rules, rule))
         object.__setattr__(new, "_overlaps", dict(self._overlaps))
         object.__setattr__(new, "_pairs", dict(self._pairs))
-        if new._alphabet == self._alphabet:  # the coders cover the rule
-            key, code, packed = self._packed
-            if key is not None:
-                object.__setattr__(new, "_packed", (key, code, [*packed, _pack_rule(rule, key[0], code)]))
-            key, code, tables = self._dense
-            if key is not None and new._grid is not None and new._grid % key[0] == 0:  # g divides the rule's
-                tables = {w: [*rows, _dense_rule(rule, key[0], w, code)] for w, rows in tables.items()}
-                object.__setattr__(new, "_dense", (key, code, tables))
+        key, code, rows = self._dense
+        # the coder covers the rule, and g divides the rule's A-exponents
+        if key is not None and new._alphabet == self._alphabet and new._grid is not None and new._grid % key[0] == 0:
+            object.__setattr__(new, "_dense", (key, code, [*rows, _dense_rule(rule, key[0], code)]))
         return new
 
     def _packed_rules(self, s: int, alphabet: tuple) -> tuple:
@@ -277,16 +265,14 @@ class RewriteSystem:
             object.__setattr__(self, "_packed", ((s, alphabet), code, packed))
         return code, packed
 
-    def _dense_rules(self, g: int, alphabet: tuple, width: int) -> tuple:
+    def _dense_rules(self, g: int, alphabet: tuple) -> tuple:
         """The coder of words and, per rule, its coded lhs and
-        ``[(coded u, P, e, |r|_1)]`` for its rhs at slot width ``width``."""
-        key, code, tables = self._dense
-        if key != (g, alphabet):
-            key, code, tables = (g, alphabet), _coder(alphabet), {}
-        rows = tables.get(width)
-        if rows is None:  # one tuple, so racing calls never mix two tables
-            rows = [_dense_rule(r, g, width, code) for r in self.rules]
-            object.__setattr__(self, "_dense", (key, code, {**tables, width: rows}))
+        ``[(coded u, P, e, |r|_1)]`` for its rhs."""
+        key, code, rows = self._dense
+        if key != (g, alphabet):  # one tuple, so racing calls never mix two tables
+            code = _coder(alphabet)
+            rows = [_dense_rule(r, g, code) for r in self.rules]
+            object.__setattr__(self, "_dense", ((g, alphabet), code, rows))
         return code, rows
 
     def find_redex(self, word: Word) -> tuple[int, int] | None:
@@ -328,14 +314,9 @@ class RewriteSystem:
         return None
 
     def normal_form(self, x: AlgElement) -> AlgElement:
-        """``reduce_once`` to a fixed point, in one pass from the largest word down.
-
-        Calls without puncture variables whose A-exponents keep within
-        ``DENSE_SPAN_CAP`` run on dense coefficients, the others on sparse ones.
-        """
-        g = self._dense_grid(x)
-        dense = None if g is None else self._dense_nf(x, g)
-        terms, _ = dense or self._sparse_nf(x)
+        """``reduce_once`` to a fixed point, in one pass from the largest word down,
+        on dense coefficients unless ``_dense_nf`` hands the call to sparse ones."""
+        terms, _ = self._dense_nf(x) or self._sparse_nf(x)
         return AlgElement._make(self.arity, terms)
 
     def _call_alphabet(self, x: AlgElement) -> tuple:
@@ -344,14 +325,6 @@ class RewriteSystem:
         if extra := set().union(*x._terms).difference(alphabet):
             return tuple(sorted(extra.union(alphabet)))
         return alphabet
-
-    def _dense_grid(self, x: AlgElement) -> int | None:
-        """The gcd g of the A-exponents of the rules and ``x`` (1 if all are 0),
-        or None when ``x`` must take the sparse path."""
-        if self._grid is None:
-            return None
-        grid = _a_grid(m for c in x._terms.values() for m in c._terms)
-        return None if grid is None else gcd(self._grid, grid) or 1
 
     def _sparse_nf(self, x: AlgElement) -> tuple[dict, int]:
         """The terms of the normal form and the number of steps, on coefficients
@@ -405,76 +378,70 @@ class RewriteSystem:
         terms = {w: LaurentPoly._make(self.arity, {dec[p]: k for p, k in c.items()}) for w, c in out.items()}
         return terms, steps
 
-    def _dense_nf(self, x: AlgElement, g: int) -> tuple[dict, int] | None:
+    def _dense_nf(self, x: AlgElement) -> tuple[dict, int] | None:
         """``_sparse_nf`` on dense coefficients ``[P, e, b]`` (see the module
-        docstring), for ``g = _dense_grid(x)``; None if a step adds to a word
-        at an offset more than ``DENSE_SPAN_CAP`` factors of A^(1/2) from the
-        word's.
+        docstring), or None in the four cases that need sparse ones.
 
-        A word whose bound b reaches the limit 2^(W-1) is reduced as if it were
-        nonzero, and the call runs again at a width above every bound of this
-        run.  That run's words are among this run's, with bounds no larger, so
-        it is exact; only a run that ran out of steps after such a word can
-        need another.
+        Until a word's bound b reaches 2^31, every zero test is exact, so
+        the run takes the sparse kernel's steps and runs out of
+        ``STEP_BUDGET`` at the same step.
         """
+        grid = None if self._grid is None else _a_grid(m for c in x._terms.values() for m in c._terms)
+        if grid is None:
+            return None
+        g = gcd(self._grid, grid) or 1  # 1 if every A-exponent is 0
         alphabet = self._call_alphabet(x)
-        width, reach = DENSE_WIDTH, DENSE_SPAN_CAP // g  # reach: the cap in slots
-        while True:
-            code, rows = self._dense_rules(g, alphabet, width)
-            limit = 1 << (width - 1)
-            terms = {bytes(map(code, w)): [*_dense_coeff(c, g, width)] for w, c in x._terms.items()}
-            pending = sorted((len(w), w) for w in terms)
-            out = []
-            steps = top = 0  # top: the largest bound at or over the limit
-            while pending:
-                n, word = pending.pop()
-                p, e, b = terms.pop(word)
-                if b >= limit:
-                    top = max(top, b)
-                elif not p:  # cancelled
+        code, rows = self._dense_rules(g, alphabet)
+        width = DENSE_WIDTH
+        limit, reach = 1 << (width - 1), DENSE_SPAN_CAP // g  # reach: the cap in slots
+        terms = {bytes(map(code, w)): [*_dense_coeff(c, g)] for w, c in x._terms.items()}
+        pending = sorted((len(w), w) for w in terms)
+        out = []
+        steps = 0
+        while pending:
+            n, word = pending.pop()
+            p, e, b = terms.pop(word)
+            if b >= limit:
+                return None
+            if not p:  # cancelled
+                continue
+            for lhs, rhs in rows:
+                pos = word.find(lhs)
+                if pos >= 0:
+                    break
+            else:
+                out.append((word, p, e))
+                continue
+            steps += 1
+            if steps > STEP_BUDGET:
+                raise StepBudgetExceeded(f"no normal form after {STEP_BUDGET} steps")
+            pre, post = word[:pos], word[pos + len(lhs) :]
+            key = (n, word)
+            for u, q, f, c in rhs:  # acc += r * (p, e, b)
+                new = pre + u + post
+                nk = (len(new), new)
+                assert nk < key, "reduction step did not decrease the term order"
+                acc = terms.get(new)
+                if acc is None:
+                    terms[new] = [q * p, f + e, c * b]
+                    insort(pending, nk)
                     continue
-                for lhs, rhs in rows:
-                    pos = word.find(lhs)
-                    if pos >= 0:
-                        break
+                f += e
+                d = f - acc[1]
+                if not -reach <= d <= reach:
+                    return None
+                if d >= 0:
+                    acc[0] += (q * p) << (width * d)
                 else:
-                    out.append((word, p, e))
-                    continue
-                steps += 1
-                if steps > STEP_BUDGET:
-                    if top:
-                        break
-                    raise StepBudgetExceeded(f"no normal form after {STEP_BUDGET} steps")
-                pre, post = word[:pos], word[pos + len(lhs) :]
-                key = (n, word)
-                for u, q, f, c in rhs:  # acc += r * (p, e, b)
-                    new = pre + u + post
-                    nk = (len(new), new)
-                    assert nk < key, "reduction step did not decrease the term order"
-                    acc = terms.get(new)
-                    if acc is None:
-                        terms[new] = [q * p, f + e, c * b]
-                        insort(pending, nk)
-                        continue
-                    f += e
-                    d = f - acc[1]
-                    if not -reach <= d <= reach:
-                        return None
-                    if d >= 0:
-                        acc[0] += (q * p) << (width * d)
-                    else:
-                        acc[0] = (acc[0] << (width * -d)) + q * p
-                        acc[1] = f
-                    acc[2] += c * b
-            if not top:
-                monos, vexp = {}, (0,) * self.arity
-                terms = {
-                    tuple(map(alphabet.__getitem__, w)): LaurentPoly._make(self.arity, _dense_poly(p, e, g, width, monos, vexp))
-                    for w, p, e in out
-                }
-                return terms, steps
-            while width <= top.bit_length():
-                width *= 2
+                    acc[0] = (acc[0] << (width * -d)) + q * p
+                    acc[1] = f
+                acc[2] += c * b
+        monos, vexp = {}, (0,) * self.arity
+        terms = {
+            tuple(map(alphabet.__getitem__, w)): LaurentPoly._make(self.arity, _dense_poly(p, e, g, monos, vexp))
+            for w, p, e in out
+        }
+        return terms, steps
 
 
 @dataclass(frozen=True)
@@ -591,7 +558,7 @@ def complete(system: RewriteSystem, degree_bound: int) -> tuple[RewriteSystem, C
     consequence of the existing ones.
 
     Each pass asks ``critical_pairs`` for the pairs up to the bound, but the
-    extended system inherits the pairs, ambiguities and packed table of the
+    extended system inherits the pairs, ambiguities and dense table of the
     old rules (``RewriteSystem._extended``), so each pair is built once per
     completion.  The joined pairs are kept as their ambiguities.
 
