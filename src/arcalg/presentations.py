@@ -282,7 +282,7 @@ def _build_algebra(surface: Surface, variant: str) -> PresentedAlgebra:
 
 
 def nf(surface: Surface, x: AlgElement, variant: str = VARIANT_DEFAULT) -> AlgElement:
-    return algebra_for(_check_surface(surface), variant).nf(x)
+    return algebra_for(surface, variant).nf(x)
 
 
 # -- scalar extension of closed-curve elements -------------------------------
@@ -417,7 +417,7 @@ def independence_rank(specializations: Iterable[tuple]) -> list[int]:
 
 def verify_presentation(surface: Surface, variant: str = VARIANT_DEFAULT) -> Report:
     """Check nf(L) - nf(R) = 0 for every defining relation L = R."""
-    alg = algebra_for(_check_surface(surface), variant)
+    alg = algebra_for(surface, variant)
     records = []
     for label, lhs, rhs in alg.relations:
         diff = alg.nf(lhs) - alg.nf(rhs)

@@ -47,14 +47,14 @@ The one-step reduct of a coefficient-1 word is built by concatenation, so
 critical pairs multiply no ring or algebra elements.
 
 A system builds what depends only on its rules once, on first use, and
-keeps it in attributes that are not fields: its packed rule table (per
-packing width s and alphabet), its dense rule table (per g and alphabet),
-the ambiguities of each pair of rules and each critical pair, keyed by its
-ambiguity ``(word, ia, ib, pos)``.  Completion only appends rules, which
-keeps every old rule's index, so the system ``complete`` extends by a rule
-(``_extended``) inherits the ambiguities, the pairs and the dense table;
-only the new rule's pairs are built and only its row of the table is
-coded.
+keeps it in attributes that are not fields: one coded rule table per
+kernel, keyed by ``(param, alphabet)`` of its last call (param the packing
+width s or the grid g), the ambiguities of each pair of rules and each
+critical pair, keyed by its ambiguity ``(word, ia, ib, pos)``.  Completion
+only appends rules, which keeps every old rule's index, so the system
+``complete`` extends by a rule (``_extended``) inherits the ambiguities,
+the pairs and both tables whole; only the new rule's pairs are built, and
+a table whose key still holds only appends the new rule's row.
 """
 
 from __future__ import annotations
@@ -188,6 +188,11 @@ def _dense_coeff(c: LaurentPoly, g: int) -> tuple[int, int, int]:
     return p, e, sum(map(abs, c._terms.values()))
 
 
+def _packed_coeff(c: LaurentPoly, s: int) -> tuple[dict]:
+    """``({packed monomial: int},)``: ``c`` as the sparse kernel's coefficient."""
+    return ({_pack(m, s): k for m, k in c._terms.items()},)
+
+
 def _dense_poly(p: int, e: int, g: int, monos: dict, vexp: tuple) -> dict:
     """Inverse of ``_dense_coeff``, as a term map; ``monos`` caches the monomial
     A^(h/2) * v^vexp of each A-exponent h.  Adding 2^31 to each balanced
@@ -201,25 +206,6 @@ def _dense_poly(p: int, e: int, g: int, monos: dict, vexp: tuple) -> dict:
             h = (e + j) * g
             terms[monos.get(h) or monos.setdefault(h, tuple.__new__(Monomial, (h, vexp)))] = d - half
     return terms
-
-
-def _coder(alphabet: tuple):
-    """Generator -> its rank in ``alphabet``, so byte order is the term order."""
-    if len(alphabet) > 256:
-        raise ValueError(f"{len(alphabet)} generators do not fit in one byte each")
-    return {g: i for i, g in enumerate(alphabet)}.__getitem__
-
-
-def _pack_rule(rule: Rule, s: int, code) -> tuple:
-    """``rule`` as its coded lhs and ``[(coded u, {packed monomial: int})]``."""
-    rhs = [(bytes(map(code, u)), {_pack(m, s): k for m, k in c._terms.items()}) for u, c in rule.rhs._terms.items()]
-    return bytes(map(code, rule.lhs)), rhs
-
-
-def _dense_rule(rule: Rule, g: int, code) -> tuple:
-    """``rule`` as its coded lhs and ``[(coded u, *_dense_coeff(r))]``."""
-    rhs = [(bytes(map(code, u)), *_dense_coeff(c, g)) for u, c in rule.rhs._terms.items()]
-    return bytes(map(code, rule.lhs)), rhs
 
 
 @dataclass(frozen=True)
@@ -244,35 +230,31 @@ class RewriteSystem:
 
     def _extended(self, rule: Rule) -> RewriteSystem:
         """This system with ``rule`` appended.  Appending keeps every old rule's
-        index, so the ambiguities, critical pairs and dense rule table of the
-        old rules hold for the new system, which starts from copies of them."""
+        index, so the ambiguities, critical pairs and rule tables of the old
+        rules hold for the new system, which starts from them."""
         new = RewriteSystem(self.arity, (*self.rules, rule))
         object.__setattr__(new, "_overlaps", dict(self._overlaps))
         object.__setattr__(new, "_pairs", dict(self._pairs))
-        key, code, rows = self._dense
-        # the coder covers the rule, and g divides the rule's A-exponents
-        if key is not None and new._alphabet == self._alphabet and new._grid is not None and new._grid % key[0] == 0:
-            object.__setattr__(new, "_dense", (key, code, [*rows, _dense_rule(rule, key[0], code)]))
+        object.__setattr__(new, "_packed", self._packed)  # a table is never changed, only replaced
+        object.__setattr__(new, "_dense", self._dense)
         return new
 
-    def _packed_rules(self, s: int, alphabet: tuple) -> tuple:
-        """The coder of words (generator -> its rank in ``alphabet``) and, per rule,
-        its coded lhs and ``[(coded u, {packed monomial: int})]`` for its rhs."""
-        key, code, packed = self._packed
-        if key != (s, alphabet):  # one tuple, so racing calls never mix two tables
-            code = _coder(alphabet)
-            packed = [_pack_rule(r, s, code) for r in self.rules]
-            object.__setattr__(self, "_packed", ((s, alphabet), code, packed))
-        return code, packed
-
-    def _dense_rules(self, g: int, alphabet: tuple) -> tuple:
-        """The coder of words and, per rule, its coded lhs and
-        ``[(coded u, P, e, |r|_1)]`` for its rhs."""
-        key, code, rows = self._dense
-        if key != (g, alphabet):  # one tuple, so racing calls never mix two tables
-            code = _coder(alphabet)
-            rows = [_dense_rule(r, g, code) for r in self.rules]
-            object.__setattr__(self, "_dense", ((g, alphabet), code, rows))
+    def _coded_rules(self, slot: str, param: int, alphabet: tuple, coeff) -> tuple:
+        """The coder of words (generator -> its rank in ``alphabet``, so byte order
+        is the term order) and, per rule, its coded lhs and ``[(coded u,
+        *coeff(r, param))]`` for its rhs.  The table kept in ``slot`` is rebuilt
+        when ``(param, alphabet)`` changes; else the rules it lacks are appended."""
+        key, code, rows = getattr(self, slot)
+        if key != (param, alphabet):
+            if len(alphabet) > 256:
+                raise ValueError(f"{len(alphabet)} generators do not fit in one byte each")
+            code, rows = {g: i for i, g in enumerate(alphabet)}.__getitem__, []
+        if len(rows) < len(self.rules):  # a new list in one tuple, so racing calls never mix two tables
+            rows = rows + [
+                (bytes(map(code, r.lhs)), [(bytes(map(code, u)), *coeff(c, param)) for u, c in r.rhs._terms.items()])
+                for r in self.rules[len(rows) :]
+            ]
+            object.__setattr__(self, slot, ((param, alphabet), code, rows))
         return code, rows
 
     def find_redex(self, word: Word) -> tuple[int, int] | None:
@@ -339,7 +321,7 @@ class RewriteSystem:
         s = reach.bit_length() + 1
         enc = {m: _pack(m, s) for m in monos}
         alphabet = self._call_alphabet(x)
-        code, packed = self._packed_rules(s, alphabet)
+        code, packed = self._coded_rules("_packed", s, alphabet, _packed_coeff)
         terms = {bytes(map(code, w)): {enc[m]: k for m, k in c._terms.items()} for w, c in x._terms.items()}
         pending = sorted((len(w), w) for w in terms)  # a max-queue: pop() is the largest
         out = {}
@@ -391,7 +373,7 @@ class RewriteSystem:
             return None
         g = gcd(self._grid, grid) or 1  # 1 if every A-exponent is 0
         alphabet = self._call_alphabet(x)
-        code, rows = self._dense_rules(g, alphabet)
+        code, rows = self._coded_rules("_dense", g, alphabet, _dense_coeff)
         width = DENSE_WIDTH
         limit, reach = 1 << (width - 1), DENSE_SPAN_CAP // g  # reach: the cap in slots
         terms = {bytes(map(code, w)): [*_dense_coeff(c, g)] for w, c in x._terms.items()}
@@ -558,7 +540,7 @@ def complete(system: RewriteSystem, degree_bound: int) -> tuple[RewriteSystem, C
     consequence of the existing ones.
 
     Each pass asks ``critical_pairs`` for the pairs up to the bound, but the
-    extended system inherits the pairs, ambiguities and dense table of the
+    extended system inherits the pairs, ambiguities and rule tables of the
     old rules (``RewriteSystem._extended``), so each pair is built once per
     completion.  The joined pairs are kept as their ambiguities.
 

@@ -21,6 +21,7 @@ from arcalg import (
     VARIANT_DEFAULT,
     VARIANT_LITERAL,
     algebra_for,
+    a_half_power,
     a_power,
     complete,
     const,
@@ -729,6 +730,25 @@ def test_complete_matches_the_rebuilding_reference(surface):
             assert report.joinable == ref.joinable
 
 
+def _count_coded_rows(monkeypatch) -> Counter:
+    """Count, per table, the rows ``RewriteSystem._coded_rules`` codes; the
+    rows a call keeps must stay the same objects."""
+    coded = Counter()
+    original = RewriteSystem._coded_rules
+
+    def counting(self, slot, param, alphabet, coeff):
+        key, _, before = getattr(self, slot)
+        code, rows = original(self, slot, param, alphabet, coeff)
+        kept = before if key == (param, alphabet) else []
+        assert all(a is b for a, b in zip(rows, kept))
+        if len(rows) > len(kept):
+            coded[slot] += len(rows) - len(kept)
+        return code, rows
+
+    monkeypatch.setattr(RewriteSystem, "_coded_rules", counting)
+    return coded
+
+
 def test_extended_system_inherits_what_holds_for_its_rules(monkeypatch):
     alg = algebra_for(Surface(1, 1))
     raw = RewriteSystem(alg.arity, alg.rules)
@@ -736,41 +756,75 @@ def test_extended_system_inherits_what_holds_for_its_rules(monkeypatch):
     x = AlgElement.from_word((g1, g2, g3) * 3, alg.arity)
     overflow = AlgElement.from_word((g2,) * 7 + (g1,) * 7, alg.arity)  # its bounds pass 2^31
     v1 = x.scale(v_power(1, alg.arity))
-    for y in (x, overflow, v1):  # builds the dense table, and the packed table
+    inputs = (x, v1, overflow)
+    for y in inputs:  # builds the dense table, and the packed table
         raw.normal_form(y)
+    tables = raw._dense, raw._packed
     pairs = critical_pairs(raw, 6)
     rule = alg.system.rules[len(raw.rules)]
-    packed = Counter()
-
-    def counting(name):
-        original = getattr(rewrite, name)
-
-        def counted(*args):
-            packed[name] += 1
-            return original(*args)
-
-        return counted
-
-    for name in ("_pack_rule", "_dense_rule"):
-        monkeypatch.setattr(rewrite, name, counting(name))
+    coded = _count_coded_rows(monkeypatch)
     new = raw._extended(rule)
-    monkeypatch.undo()
     assert new == RewriteSystem(alg.arity, (*raw.rules, rule))
-    # the dense table is inherited with the same key, coder and old rows, and
-    # only the new rule's row is coded; the packed table is not inherited
-    (key, code, rows), (new_key, new_code, new_rows) = raw._dense, new._dense
-    assert new_key is key and key == (2, alg.generators) and new_code is code
-    assert all(a is b for a, b in zip(new_rows, rows)) and len(new_rows) == len(rows) + 1
-    assert new_rows == RewriteSystem(alg.arity, new.rules)._dense_rules(*key)[1]
-    assert raw._packed[0] is not None and new._packed[0] is None
-    assert packed == {"_dense_rule": 1}
-    for y in (x, overflow, v1):
-        assert new.normal_form(y) == RewriteSystem(alg.arity, new.rules).normal_form(y)
+    # both tables are inherited whole, and no row is coded
+    assert new._dense is tables[0] and new._packed is tables[1] and not coded
+    # the first dense call and the first sparse call each code only the new rule's row
+    nfs = [new.normal_form(y) for y in inputs]
+    assert coded == {"_dense": 1, "_packed": 1}
+    for (key, code, rows), (new_key, new_code, new_rows) in zip(tables, (new._dense, new._packed)):
+        assert new_key == key and new_code is code and len(new_rows) == len(rows) + 1
+        assert all(a is b for a, b in zip(new_rows, rows))
+    monkeypatch.undo()
+    # the tables and normal forms are those of a system built from the same rules
+    fresh = RewriteSystem(alg.arity, new.rules)
+    assert nfs == [fresh.normal_form(y) for y in inputs]
+    for slot in ("_dense", "_packed"):
+        assert getattr(new, slot)[::2] == getattr(fresh, slot)[::2]
     # the old pairs are reused, the new rule's are built; the old system is unchanged
     new_pairs = critical_pairs(new, 6)
     assert set(map(id, pairs)) <= set(map(id, new_pairs))
     assert new_pairs == critical_pairs(RewriteSystem(alg.arity, new.rules), 6)
     assert critical_pairs(raw, 6) == pairs and len(raw._pairs) == len(pairs)
+    assert raw._dense is tables[0] and raw._packed is tables[1]
+
+
+def test_extended_tables_rebuild_when_their_key_changes(monkeypatch):
+    # An inherited table serves a call only under the call's (param, alphabet):
+    # sibling extensions keep their own rows, and a rule that changes g or the
+    # alphabet makes the next call code every row again.
+    alg = algebra_for(Surface(1, 0))
+    raw = RewriteSystem(alg.arity, alg.rules)
+    g1, g2, g3 = alg.generators
+    inputs = [AlgElement.from_word(w, alg.arity) for w in ((g1, g2, g3) * 3, (g3, g2, g1) * 2, (g2,) * 5 + (g1,) * 4)]
+    before = [raw.normal_form(y) for y in inputs]
+    tables = raw._dense, raw._packed
+    assert raw._dense[0] == (2, alg.generators)
+    h = Generator("h", 1)
+    siblings = alg.system.rules[len(raw.rules) : len(raw.rules) + 2]
+    odd = Rule((g3, g3, g3), AlgElement.from_word((g1,), alg.arity, a_half_power(1, alg.arity)))
+    new_letter = Rule((h, g1), AlgElement.from_word((g1,), alg.arity))
+    for rule, key in [(r, (2, alg.generators)) for r in siblings] + [
+        (odd, (1, alg.generators)),
+        (new_letter, (2, (*alg.generators, h))),
+    ]:
+        coded = _count_coded_rows(monkeypatch)
+        ext = raw._extended(rule)
+        nfs = [ext.normal_form(y) for y in inputs]
+        assert ext._dense[0] == key
+        assert coded["_dense"] == (1 if key == raw._dense[0] else len(ext.rules))
+        monkeypatch.undo()
+        assert nfs == [RewriteSystem(alg.arity, ext.rules).normal_form(y) for y in inputs]
+    assert [raw.normal_form(y) for y in inputs] == before
+    assert raw._dense is tables[0] and raw._packed is tables[1]
+
+
+def test_completion_codes_each_rule_row_once(monkeypatch):
+    # ``_extended`` exists so that completion codes each rule once, not once per pass.
+    coded = _count_coded_rows(monkeypatch)
+    for surface in (Surface(1, 0), Surface(1, 1)):
+        alg = algebra_for(surface)
+        coded.clear()
+        done, _ = complete(RewriteSystem(alg.arity, alg.rules), 11)
+        assert sum(coded.values()) == len(done.rules) > len(alg.rules)
 
 
 # sha256 of the printed normal forms of ``_pinned_corpus``: any change of
