@@ -11,7 +11,9 @@ Canonical form: no zero coefficients are stored, and two polynomials are
 equal iff their term maps are identical.  Printing orders monomials by
 graded lexicographic key (total degree, half_a, vexp), largest first.
 The canonical sparse-term arithmetic lives in the private base class
-``_SparseTerms``, which ``freealg.AlgElement`` shares.
+``_SparseTerms``, which ``freealg.AlgElement`` shares: its constructor, sums
+and products all merge terms through one function, ``_accumulate``.  Hashes
+are computed on demand, not cached.
 """
 
 from __future__ import annotations
@@ -82,6 +84,18 @@ def _mono_str(m: Monomial, coeff: int) -> str:
     return "*".join(parts)
 
 
+def _accumulate(acc: dict, items: Iterable[tuple]) -> dict:
+    """Add each (key, nonzero coefficient) pair into ``acc``; a key that cancels is deleted."""
+    for key, c in items:
+        prev = acc.get(key)
+        s = c if prev is None else prev + c
+        if s:
+            acc[key] = s
+        else:
+            del acc[key]
+    return acc
+
+
 class _SparseTerms:
     """A finite map from keys to nonzero coefficients, in canonical form.
 
@@ -90,32 +104,23 @@ class _SparseTerms:
     key product ``_key_mul``, the term order ``_key_order``, the per-term
     check ``_check_term`` of the public constructor, the identity, the unit
     inverse that negative powers need, and how one term prints.  Arithmetic
-    results come from loops that keep their dict canonical, so they are
-    wrapped by ``_make`` without the public constructor's checks.
+    results come from ``_accumulate``, which keeps a term map canonical, so
+    they are wrapped by ``_make`` without the public constructor's checks.
     """
 
-    __slots__ = ("arity", "_terms", "_hash")
+    __slots__ = ("arity", "_terms")
 
     def __init__(self, arity: int, terms: Mapping | Iterable[tuple] = ()):
         if arity < 0:
             raise ValueError("arity must be nonnegative")
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        tmap: dict = {}
+        items = list(terms.items() if isinstance(terms, Mapping) else terms)
         for key, coeff in items:
             self._check_term(arity, key, coeff)
-            if coeff:
-                prev = tmap.get(key)
-                c = coeff if prev is None else prev + coeff
-                if c:
-                    tmap[key] = c
-                else:
-                    del tmap[key]
-        self._fill(arity, tmap)
+        self._fill(arity, _accumulate({}, ((key, coeff) for key, coeff in items if coeff)))
 
     def _fill(self, arity: int, tmap: dict) -> None:
         object.__setattr__(self, "arity", arity)
         object.__setattr__(self, "_terms", tmap)
-        object.__setattr__(self, "_hash", None)
 
     @classmethod
     def _make(cls, arity: int, tmap: dict):
@@ -155,15 +160,7 @@ class _SparseTerms:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        terms = dict(self._terms)
-        for key, c in o._terms.items():
-            prev = terms.get(key)
-            s = c if prev is None else prev + c
-            if s:
-                terms[key] = s
-            else:
-                del terms[key]
-        return self._make(self.arity, terms)
+        return self._make(self.arity, _accumulate(dict(self._terms), o._terms.items()))
 
     __radd__ = __add__
 
@@ -186,19 +183,10 @@ class _SparseTerms:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        key_mul = self._key_mul
-        acc: dict = {}
-        for k1, c1 in self._terms.items():
-            for k2, c2 in o._terms.items():
-                k = key_mul(k1, k2)
-                c = c1 * c2
-                prev = acc.get(k)
-                s = c if prev is None else prev + c
-                if s:
-                    acc[k] = s
-                else:
-                    del acc[k]
-        return self._make(self.arity, acc)
+        key_mul, other_terms = self._key_mul, o._terms.items()
+        # R_n has no zero divisors, so no product of two nonzero coefficients is zero.
+        products = ((key_mul(k1, k2), c1 * c2) for k1, c1 in self._terms.items() for k2, c2 in other_terms)
+        return self._make(self.arity, _accumulate({}, products))
 
     __rmul__ = __mul__
 
@@ -228,13 +216,6 @@ class _SparseTerms:
         return self.arity == o.arity and self._terms == o._terms
 
     def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = self._hash_terms()
-            object.__setattr__(self, "_hash", h)
-        return h
-
-    def _hash_terms(self) -> int:
         return hash((self.arity, frozenset(self._terms.items())))
 
     def __str__(self) -> str:
@@ -267,11 +248,11 @@ class LaurentPoly(_SparseTerms):
     def _term_str(mono: Monomial, coeff: int) -> tuple[bool, str]:
         return coeff < 0, _mono_str(mono, coeff)
 
-    def _hash_terms(self) -> int:
+    def __hash__(self) -> int:
         # A constant equals the int it holds, so it must hash like it.
         if self._terms.keys() <= {Monomial(0, (0,) * self.arity)}:
             return hash(sum(self._terms.values()))
-        return super()._hash_terms()
+        return super().__hash__()
 
     def _operand(self, other) -> "LaurentPoly | None":
         if isinstance(other, int):

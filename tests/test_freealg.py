@@ -130,3 +130,47 @@ def test_str_round_shapes():
 def test_negative_arity_rejected():
     with pytest.raises(ValueError, match="arity must be nonnegative"):
         AlgElement(-1, {})
+
+
+def test_constructor_merges_words_from_a_one_shot_generator():
+    A = a_power(1, 3)
+    pairs = [((A1,), A), ((), const(0, 3)), ((A2,), const(2, 3)), ((A1,), const(1, 3)), ((A2,), const(-2, 3))]
+    x = AlgElement(3, (pair for pair in pairs))
+    # Duplicates merge ((A1,): A + 1), cancel to nothing ((A2,): 2 - 2), and zeros drop.
+    assert x.terms() == [((A1,), A + 1)]
+    assert AlgElement(3, iter([((A1,), A), ((A1,), -A)])).is_zero
+    assert AlgElement(3, {(A1,): zero(3)}).support() == frozenset()
+
+
+def test_constructor_rejects_a_coefficient_of_another_arity():
+    with pytest.raises(ArityError, match="coefficient arity 2 != element arity 3"):
+        AlgElement(3, iter([((A1,), const(1, 3)), ((A2,), const(1, 2))]))
+
+
+def test_sums_and_products_drop_cancelled_words():
+    A = a_power(1, 3)
+    g1, g2 = AlgElement.from_generator(A1, 3), AlgElement.from_generator(A2, 3)
+    s = (g1 * A + g2 * delta(3)) + (g1 * (1 - A) - g2 * delta(3))
+    assert s.terms() == [((A1,), const(1, 3))]
+    # (A + A*a1)(A^-1 - A^-1*a1) = 1 - a1*a1: the two a1 terms cancel.
+    e = AlgElement.one(3)
+    prod = (e * A + g1 * A) * (e * A ** -1 - g1 * A ** -1)
+    assert prod.terms() == [((A1, A1), const(-1, 3)), ((), const(1, 3))]
+    # The cross words -A*a1*a2 and A*a2*a1 of the product cancel in the sum.
+    x = (g1 + g2 * A) * (g1 - g2 * A) + (g1 * g2 * A - g2 * g1 * A)
+    assert x.terms() == [((A2, A2), -(A * A)), ((A1, A1), const(1, 3))]
+
+
+def test_elements_built_in_different_orders_hash_equal():
+    A = a_power(1, 3)
+    g1, g2 = AlgElement.from_generator(A1, 3), AlgElement.from_generator(A2, 3)
+    four = AlgElement.one(3) * 4
+    terms = list((g1 * g2 * A + g2 * delta(3) - four).terms())
+    built = [
+        AlgElement(3, terms),
+        AlgElement(3, reversed(terms)),
+        g2 * delta(3) - four + A * (g1 * g2),
+        (g1 + g2) * (g2 * A) - g2 * g2 * A + (g2 * delta(3) - four),
+    ]
+    for x in built:
+        assert x == built[0] and hash(x) == hash(built[0])

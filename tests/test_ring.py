@@ -175,3 +175,46 @@ def test_constants_hash_like_ints():
 def test_negative_arity_rejected():
     with pytest.raises(ValueError, match="arity must be nonnegative"):
         LaurentPoly(-1)
+
+
+def test_constructor_merges_terms_from_a_one_shot_generator():
+    A, one0, Ahalf = Monomial(2, ()), Monomial(0, ()), Monomial(1, ())
+    pairs = [(A, 2), (one0, 0), (Ahalf, 3), (A, 5), (Ahalf, -3), (one0, 4), (Ahalf, 0)]
+    p = LaurentPoly(0, (pair for pair in pairs))
+    # Duplicates merge (A: 2 + 5), cancel to nothing (A^(1/2): 3 - 3), and zeros drop.
+    assert p.terms() == [(A, 7), (one0, 4)]
+    assert LaurentPoly(0, iter([(A, 1), (A, -1)])).is_zero
+    assert LaurentPoly(0, {A: 0, one0: 0}) == zero(0) and len(LaurentPoly(0, {A: 0})) == 0
+
+
+def test_constructor_rejects_a_term_of_another_arity():
+    with pytest.raises(ArityError, match="monomial arity 2 != ring arity 1"):
+        LaurentPoly(1, iter([(Monomial(0, (1,)), 1), (Monomial(0, (1, 0)), 1)]))
+    with pytest.raises(ArityError):
+        LaurentPoly(0, {Monomial(0, (0,)): 0})
+
+
+def test_sums_and_products_drop_cancelled_terms():
+    A, v = a_power(1, 1), v_power(1, 1)
+    s = (A + v + 1) + (2 - A - v)
+    assert s == 3 and s.terms() == [(Monomial(0, (0,)), 3)]
+    assert ((A + v) + (-A - v)).terms() == []
+    # (A + 1)(A - 1): the two cross terms A and -A cancel.
+    prod = (A + 1) * (A - 1)
+    assert prod.terms() == [(Monomial(4, (0,)), 1), (Monomial(0, (0,)), -1)]
+    # (A + A^-1)(A - A^-1) = A^2 - A^-2: both constant cross terms cancel.
+    assert ((A + A ** -1) * (A - A ** -1)).terms() == [(Monomial(4, (0,)), 1), (Monomial(-4, (0,)), -1)]
+
+
+def test_values_built_in_different_orders_hash_equal():
+    A, v = a_power(1, 2), v_power(2, 2)
+    terms = list((A * A - 3 * v + A * v ** -1 + 5).terms())
+    built = [
+        LaurentPoly(2, terms),
+        LaurentPoly(2, reversed(terms)),
+        5 + A * v ** -1 - 3 * v + A * A,
+        (A * v ** -1 + A * A) + (5 - 3 * v),
+        (A - v) * (A + v) + (A * v ** -1 + 5 - 3 * v + v * v),
+    ]
+    for p in built:
+        assert p == built[0] and hash(p) == hash(built[0])
