@@ -115,6 +115,7 @@ class _Parser:
         self.alphabet = alphabet
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.atoms: dict[str, AlgElement] = {}  # each generator's element, built once per parse
 
     def peek(self) -> tuple[str, str, int] | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -178,7 +179,9 @@ class _Parser:
                     raise ParseError(f"v{idx} does not exist in R_{self.arity}", pos)
                 base = AlgElement.from_scalar(ring.v_power(idx, self.arity))
             elif text in self.alphabet:
-                base = AlgElement.from_generator(self.alphabet[text], self.arity)
+                base = self.atoms.get(text)
+                if base is None:
+                    base = self.atoms[text] = AlgElement.from_generator(self.alphabet[text], self.arity)
             else:
                 raise ParseError(f"unknown name {text!r}", pos)
         elif text == "(":

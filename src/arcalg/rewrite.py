@@ -44,7 +44,10 @@ offset more than the cap from the word's own, so that no shift leaves a
 gap wider than the cap; or a word whose bound reaches 2^31.
 
 The one-step reduct of a coefficient-1 word is built by concatenation, so
-critical pairs multiply no ring or algebra elements.
+critical pairs multiply no ring or algebra elements.  Each kernel also takes
+an ambiguity ``(word, ia, ib, pos)`` in place of an element: it starts from
+the difference of the pair's two reducts, concatenated from the coded rows
+of rules ia and ib, and decodes only what remains of it.
 
 A system builds what depends only on its rules once, on first use, and
 keeps it in attributes that are not fields: one coded rule table per
@@ -62,7 +65,7 @@ from __future__ import annotations
 import struct
 from bisect import insort
 from dataclasses import dataclass, field
-from math import gcd
+from math import gcd, inf
 
 from .freealg import AlgElement, Word, word_key, word_str
 from .ring import LaurentPoly, Monomial
@@ -208,6 +211,21 @@ def _dense_poly(p: int, e: int, g: int, monos: dict, vexp: tuple) -> dict:
     return terms
 
 
+def _seed(x, code, rows, coeff, param, neg) -> tuple:
+    """The key and the coded terms that a kernel run adds up before its first
+    step, each term below the key: the terms of an element, each coefficient
+    coded by ``coeff(c, param)``; or for an ambiguity ``(word, ia, ib, pos)``,
+    the reduct by rule ia's coded row at 0 minus the reduct by rule ib's at
+    pos (``neg`` negates a coded coefficient): the difference of its pair."""
+    if isinstance(x, AlgElement):
+        return (inf,), [(bytes(map(code, w)), *coeff(c, param)) for w, c in x._terms.items()]
+    word, ia, ib, pos = x
+    w = bytes(map(code, word))
+    (la, ra), (lb, rb) = rows[ia], rows[ib]
+    pre, post = w[:pos], w[pos + len(lb) :]
+    return (len(w), w), [(u + w[len(la) :], *r) for u, *r in ra] + [(pre + u + post, *neg(*r)) for u, *r in rb]
+
+
 @dataclass(frozen=True)
 class RewriteSystem:
     arity: int
@@ -308,43 +326,31 @@ class RewriteSystem:
             return tuple(sorted(extra.union(alphabet)))
         return alphabet
 
-    def _sparse_nf(self, x: AlgElement) -> tuple[dict, int]:
-        """The terms of the normal form and the number of steps, on coefficients
-        that are maps from packed monomials to ints.
+    def _sparse_nf(self, x: AlgElement | tuple) -> tuple[dict, int]:
+        """The terms of the normal form of ``x`` and the number of steps, on
+        coefficients that are maps from packed monomials to ints; ``x`` is an
+        element or an ambiguity, whose pair's difference is seeded (``_seed``).
 
         A monomial the call forms is an input monomial times at most
         ``STEP_BUDGET`` rule monomials (more steps raise), so packing in
         base 2^s with 2^(s-1) above that bound on its fields is exact.
         """
-        monos = {m for c in x._terms.values() for m in c._terms}
-        reach = _max_field(monos) + STEP_BUDGET * self._rule_field
-        s = reach.bit_length() + 1
-        enc = {m: _pack(m, s) for m in monos}
-        alphabet = self._call_alphabet(x)
+        if isinstance(x, AlgElement):
+            monos = {m for c in x._terms.values() for m in c._terms}
+            field, alphabet = _max_field(monos), self._call_alphabet(x)
+        else:  # an ambiguity: its pair's monomials are the rules'
+            monos, field, alphabet = (), self._rule_field, self._alphabet
+        s = (field + STEP_BUDGET * self._rule_field).bit_length() + 1
         code, packed = self._coded_rules("_packed", s, alphabet, _packed_coeff)
-        terms = {bytes(map(code, w)): {enc[m]: k for m, k in c._terms.items()} for w, c in x._terms.items()}
-        pending = sorted((len(w), w) for w in terms)  # a max-queue: pop() is the largest
-        out = {}
+        key, rhs = _seed(x, code, packed, _packed_coeff, s, lambda r: ({m: -k for m, k in r.items()},))
+        pre = post = b""
+        c = {0: 1}  # the seed is added once, as a step adds a rule's row
+        terms, pending, out = {}, [], {}  # pending: a max-queue of (len, word), pop() is the largest
         steps = 0
-        while pending:
-            n, word = pending.pop()
-            c = {m: k for m, k in terms.pop(word).items() if k}
-            if not c:  # cancelled
-                continue
-            for lhs, rhs in packed:  # the first rule, at its leftmost occurrence
-                pos = word.find(lhs)
-                if pos >= 0:
-                    break
-            else:  # final: later steps only add smaller words
-                out[tuple(map(alphabet.__getitem__, word))] = c
-                continue
-            steps += 1
-            if steps > STEP_BUDGET:
-                raise StepBudgetExceeded(f"no normal form after {STEP_BUDGET} steps")
-            pre, post = word[:pos], word[pos + len(lhs) :]
+        while True:
             for u, r in rhs:
                 new = pre + u + post
-                assert (len(new), new) < (n, word), "reduction step did not decrease the term order"
+                assert (len(new), new) < key, "reduction step did not decrease the term order"
                 acc = terms.get(new)
                 if acc is None:
                     acc = terms[new] = {}
@@ -353,14 +359,34 @@ class RewriteSystem:
                     for m2, k2 in c.items():
                         m = m1 + m2
                         acc[m] = acc.get(m, 0) + k1 * k2
-        dec = {p: m for m, p in enc.items()}  # input monomials need no decoding
+            while pending:
+                key = pending.pop()
+                word = key[1]
+                c = {m: k for m, k in terms.pop(word).items() if k}
+                if not c:  # cancelled
+                    continue
+                for lhs, rhs in packed:  # the first rule, at its leftmost occurrence
+                    pos = word.find(lhs)
+                    if pos >= 0:
+                        break
+                else:  # final: later steps only add smaller words
+                    out[tuple(map(alphabet.__getitem__, word))] = c
+                    continue
+                steps += 1
+                if steps > STEP_BUDGET:
+                    raise StepBudgetExceeded(f"no normal form after {STEP_BUDGET} steps")
+                pre, post = word[:pos], word[pos + len(lhs) :]
+                break
+            else:
+                break
+        dec = {_pack(m, s): m for m in monos}  # input monomials need no decoding
         for c in out.values():
             for p in c.keys() - dec.keys():
                 dec[p] = _unpack(p, s, self.arity)
         terms = {w: LaurentPoly._make(self.arity, {dec[p]: k for p, k in c.items()}) for w, c in out.items()}
         return terms, steps
 
-    def _dense_nf(self, x: AlgElement) -> tuple[dict, int] | None:
+    def _dense_nf(self, x: AlgElement | tuple) -> tuple[dict, int] | None:
         """``_sparse_nf`` on dense coefficients ``[P, e, b]`` (see the module
         docstring), or None in the four cases that need sparse ones.
 
@@ -368,37 +394,23 @@ class RewriteSystem:
         the run takes the sparse kernel's steps and runs out of
         ``STEP_BUDGET`` at the same step.
         """
-        grid = None if self._grid is None else _a_grid(m for c in x._terms.values() for m in c._terms)
-        if grid is None:
+        if self._grid is None:
             return None
-        g = gcd(self._grid, grid) or 1  # 1 if every A-exponent is 0
-        alphabet = self._call_alphabet(x)
+        if not isinstance(x, AlgElement):  # an ambiguity: its pair's monomials are the rules'
+            g, alphabet = self._grid or 1, self._alphabet
+        elif (grid := _a_grid(m for c in x._terms.values() for m in c._terms)) is None:
+            return None
+        else:
+            g, alphabet = gcd(self._grid, grid) or 1, self._call_alphabet(x)  # 1 if every A-exponent is 0
         code, rows = self._coded_rules("_dense", g, alphabet, _dense_coeff)
         width = DENSE_WIDTH
         limit, reach = 1 << (width - 1), DENSE_SPAN_CAP // g  # reach: the cap in slots
-        terms = {bytes(map(code, w)): [*_dense_coeff(c, g)] for w, c in x._terms.items()}
-        pending = sorted((len(w), w) for w in terms)
-        out = []
+        key, rhs = _seed(x, code, rows, _dense_coeff, g, lambda q, f, c: (-q, f, c))
+        pre = post = b""
+        p, e, b = 1, 0, 1  # the seed is added once, as a step adds a rule's row
+        terms, pending, out = {}, [], []
         steps = 0
-        while pending:
-            n, word = pending.pop()
-            p, e, b = terms.pop(word)
-            if b >= limit:
-                return None
-            if not p:  # cancelled
-                continue
-            for lhs, rhs in rows:
-                pos = word.find(lhs)
-                if pos >= 0:
-                    break
-            else:
-                out.append((word, p, e))
-                continue
-            steps += 1
-            if steps > STEP_BUDGET:
-                raise StepBudgetExceeded(f"no normal form after {STEP_BUDGET} steps")
-            pre, post = word[:pos], word[pos + len(lhs) :]
-            key = (n, word)
+        while True:
             for u, q, f, c in rhs:  # acc += r * (p, e, b)
                 new = pre + u + post
                 nk = (len(new), new)
@@ -418,6 +430,28 @@ class RewriteSystem:
                     acc[0] = (acc[0] << (width * -d)) + q * p
                     acc[1] = f
                 acc[2] += c * b
+            while pending:
+                key = pending.pop()
+                word = key[1]
+                p, e, b = terms.pop(word)
+                if b >= limit:
+                    return None
+                if not p:  # cancelled
+                    continue
+                for lhs, rhs in rows:
+                    pos = word.find(lhs)
+                    if pos >= 0:
+                        break
+                else:
+                    out.append((word, p, e))
+                    continue
+                steps += 1
+                if steps > STEP_BUDGET:
+                    raise StepBudgetExceeded(f"no normal form after {STEP_BUDGET} steps")
+                pre, post = word[:pos], word[pos + len(lhs) :]
+                break
+            else:
+                break
         monos, vexp = {}, (0,) * self.arity
         terms = {
             tuple(map(alphabet.__getitem__, w)): LaurentPoly._make(self.arity, _dense_poly(p, e, g, monos, vexp))
@@ -531,13 +565,15 @@ class ConfluenceReport:
 def complete(system: RewriteSystem, degree_bound: int) -> tuple[RewriteSystem, ConfluenceReport]:
     """Knuth-Bendix style completion up to ``degree_bound``.
 
-    Scans the critical pairs in order and normalizes each pair's difference.
-    A zero difference joins the pair.  Otherwise the difference is oriented
-    into a new rule (leading word -> lower terms) if its leading coefficient
-    is a unit of R_n, the system is extended by it and the scan restarts; if
-    not, the pair is a failure, reported with nf(left) and nf(right) =
-    nf(left) - nf(difference).  Sound because every added rule is a
-    consequence of the existing ones.
+    Scans the critical pairs in order and normalizes each pair's difference,
+    seeded by its ambiguity from the coded rule rows (dense unless that
+    kernel gives up, then sparse), so it is never built as an element.  A
+    zero difference joins the pair and is never decoded.  Otherwise the
+    decoded difference is oriented into a new rule (leading word -> lower
+    terms) if its leading coefficient is a unit of R_n, the system is
+    extended by it and the scan restarts; if not, the pair is a failure,
+    reported with nf(left) and nf(right) = nf(left) - nf(difference).  Sound
+    because every added rule is a consequence of the existing ones.
 
     Each pass asks ``critical_pairs`` for the pairs up to the bound, but the
     extended system inherits the pairs, ambiguities and rule tables of the
@@ -563,8 +599,9 @@ def complete(system: RewriteSystem, degree_bound: int) -> tuple[RewriteSystem, C
         pairs = critical_pairs(sysx, degree_bound)
         for amb, cp in zip(_bounded_ambiguities(sysx, degree_bound), pairs):
             if amb not in joined:
-                diff = sysx.normal_form(cp.left - cp.right)
-                if diff:
+                terms, _ = sysx._dense_nf(amb) or sysx._sparse_nf(amb)
+                if terms:
+                    diff = AlgElement._make(sysx.arity, terms)
                     rule = Rule.orient(diff)
                     if rule is None:
                         n1 = sysx.normal_form(cp.left)

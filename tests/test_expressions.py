@@ -179,6 +179,30 @@ def test_negative_power_needs_invertible_base():
     assert parse_scalar("(A^2)^-1", 0) == a_power(-2, 0)
 
 
+def test_each_generator_is_built_once_per_parse(monkeypatch):
+    # A parse reuses the element of a generator it has met; the values, and
+    # every error's message and offset, are those of building it each time.
+    g1, g2, g3 = (Generator("g", i) for i in (1, 2, 3))
+    words = [(g1, g2, g1, g1, g1), (g1, g2, g2), (g1, g2, g3), (g1, g3, g2), (g1, g3, g3), (g2,)]
+    want = sum((AlgElement.from_word(w, 1, -1 if 0 < i < 5 else 1) for i, w in enumerate(words)), AlgElement.zero(1))
+    built = []
+    original = AlgElement.from_generator.__func__
+    monkeypatch.setattr(AlgElement, "from_generator", classmethod(lambda cls, g, n: built.append(g) or original(cls, g, n)))
+    assert parse_element("g1*g2*g1^3 - g1*(g2 + g3)^2 + g2", 1, ABG) == want
+    assert built == [g1, g2, g3]
+    built.clear()
+    assert parse_element("a1 - a1", 3, AB3).is_zero and parse_element("a1^2*a1", 3, AB3) == parse_element("a1^3", 3, AB3)
+    assert built == [A1] * 3  # once in each of the three parses
+    for text, message in (
+        ("a1*a1^-1", "negative power of a non-invertible element (at offset 5)"),
+        ("a1*a2*a1*x", "unknown name 'x' (at offset 9)"),
+        ("a1*a1 a1", "trailing input 'a1' (at offset 6)"),
+    ):
+        with pytest.raises(ParseError) as exc:
+            parse_element(text, 3, AB3)
+        assert str(exc.value) == message
+
+
 def test_trailing_garbage():
     with pytest.raises(ParseError):
         parse_element("a1 a2", 3, AB3)

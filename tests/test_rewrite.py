@@ -670,46 +670,118 @@ def test_pack_round_trips_at_the_field_limits():
                 assert _unpack(_pack(m, s), s, arity) == m
 
 
-def test_completion_normalizes_each_critical_pair_once(monkeypatch):
-    # The completion workload of the benchmark: F0,2 at 6, F0,3 at 6..11,
-    # both tori at 3..11, each from a fresh system as the benchmark runs
-    # them.  Without failures every pair of the final pass is normalized
-    # exactly once, as one difference.  The reference builds the two
-    # reducts of every pair on every pass; ``complete`` those of each pair
-    # once per completion, and normalizes the same differences.
-    ops = (
-        [(Surface(0, 2), 6)]
-        + [(Surface(0, 3), b) for b in range(6, 12)]
-        + [(s, b) for s in (Surface(1, 0), Surface(1, 1)) for b in range(3, 12)]
-    )
-    algs = {s: algebra_for(s) for s in SURFACES}
+def _count_calls(monkeypatch, names, key) -> Counter:
+    """Count the calls of the named ``RewriteSystem`` methods by ``key(name, args)``."""
     calls = Counter()
 
     def counting(name):
         original = getattr(RewriteSystem, name)
 
         def counted(self, *args):
-            calls[name] += 1
+            calls[key(name, args)] += 1
             return original(self, *args)
 
         return counted
 
-    for name in ("normal_form", "_reduct"):
+    for name in names:
         monkeypatch.setattr(RewriteSystem, name, counting(name))
+    return calls
+
+
+def test_completion_normalizes_each_critical_pair_once(monkeypatch):
+    # The completion workload of the benchmark: F0,2 at 6, F0,3 at 6..11,
+    # both tori at 3..11, each from a fresh system as the benchmark runs
+    # them.  Without failures every pair of the final pass is normalized
+    # exactly once, as one difference.  The reference builds the two
+    # reducts of every pair on every pass and normalizes ``left - right``;
+    # ``complete`` builds those of each pair once per completion, and seeds
+    # the kernels with the pair's ambiguity instead: it enters the dense
+    # kernel once per pair, the sparse one where dense gives up (every
+    # sphere pair: their rules have puncture variables), and ``normal_form``
+    # only for failures, of which this workload has none.
+    ops = (
+        [(Surface(0, 2), 6)]
+        + [(Surface(0, 3), b) for b in range(6, 12)]
+        + [(s, b) for s in (Surface(1, 0), Surface(1, 1)) for b in range(3, 12)]
+    )
+    algs = {s: algebra_for(s) for s in SURFACES}
+    calls = _count_calls(
+        monkeypatch,
+        ("normal_form", "_reduct", "_dense_nf", "_sparse_nf"),
+        lambda name, args: name + " seeded" * (name.endswith("_nf") and not isinstance(args[0], AlgElement)),
+    )
     work = {}
-    for run in (bruteforce.complete, complete):
+    for run, normalized in ((bruteforce.complete, "normal_form"), (complete, "_dense_nf seeded")):
         calls.clear()
         per_op = {}
         for surface, bound in ops:
-            before = calls["normal_form"]
+            before = calls.copy()
             _, report = run(RewriteSystem(algs[surface].arity, algs[surface].rules), bound)
-            per_op[surface, bound] = calls["normal_form"] - before
+            per_op[surface, bound] = calls[normalized] - before[normalized]
             assert per_op[surface, bound] == len(report.joinable)
+            if run is complete:
+                assert calls["normal_form"] == before["normal_form"] == len(report.failures) == 0
         assert per_op[Surface(1, 0), 11] == per_op[Surface(1, 1), 11] == 33
         assert per_op[Surface(0, 3), 6] == 27
-        work[run] = dict(calls)
+        work[run] = {k: v for k, v in calls.items() if "seeded" in k or not k.endswith("_nf")}
     assert work[bruteforce.complete] == {"normal_form": 469, "_reduct": 3002}
-    assert work[complete] == {"normal_form": 469, "_reduct": 938}
+    assert work[complete] == {"_dense_nf seeded": 469, "_sparse_nf seeded": 163, "_reduct": 938}
+
+
+@pytest.mark.parametrize("surface, variant", [(s, v) for s in SURFACES for v in (VARIANT_DEFAULT, VARIANT_LITERAL)], ids=str)
+def test_seeded_pair_matches_the_normal_form_of_its_difference(surface, variant, monkeypatch):
+    # A kernel seeded with an ambiguity starts from the pair's difference,
+    # taken from the coded rule rows; it must return the terms and steps of
+    # normalizing ``left - right``, on both kernels, and run out of
+    # ``STEP_BUDGET`` at the same step.  The tori run every pair dense.
+    alg = algebra_for(surface, variant)
+    raw = RewriteSystem(alg.arity, alg.rules)
+    done, report = complete(raw, 11)
+    for system in (raw, done):
+        ambs = rewrite._bounded_ambiguities(system, 11)
+        pairs = critical_pairs(system, 11)
+        assert len(ambs) == len(pairs) >= len(raw.rules)
+        for amb, cp in zip(ambs, pairs):
+            diff = cp.left - cp.right
+            want = system._dense_nf(diff) or system._sparse_nf(diff)
+            assert AlgElement(alg.arity, want[0]) == system.normal_form(diff)
+            assert system._sparse_nf(amb) == want
+            assert system._dense_nf(amb) == (want if surface.genus else None)
+            seeded = lambda: system._dense_nf(amb) or system._sparse_nf(amb)  # as ``complete`` runs it
+            monkeypatch.setattr(rewrite, "STEP_BUDGET", want[1])
+            assert seeded() == want
+            if want[1]:
+                monkeypatch.setattr(rewrite, "STEP_BUDGET", want[1] - 1)
+                for route in (lambda: system.normal_form(diff), lambda: system._sparse_nf(amb), seeded):
+                    with pytest.raises(StepBudgetExceeded):
+                        route()
+            monkeypatch.undo()
+    # complete on the sparse kernel alone gives the same system and report
+    monkeypatch.setattr(RewriteSystem, "_dense_nf", lambda self, x: None)
+    sparse_done, sparse_report = complete(RewriteSystem(alg.arity, alg.rules), 11)
+    assert sparse_done.rules == done.rules and sparse_report.to_dict() == report.to_dict()
+
+
+def test_a_seeded_pair_whose_dense_run_gives_up_enters_dense_once(monkeypatch):
+    # b*a -> 2^16 a*b and a*a -> 0.  The pair of b*a*a has the difference
+    # 2^16 a*b*a, whose first step gives 2^32 a*a*b: its bound passes 2^31,
+    # so the dense run gives up there, and the sparse run rewrites a*a*b to 0.
+    a, b = Generator("a"), Generator("b")
+    system = RewriteSystem(
+        0,
+        (Rule((b, a), AlgElement.from_word((a, b), 0, 2**16)), Rule((a, a), AlgElement.zero(0))),
+    )
+    amb = ((b, a, a), 0, 1, 1)
+    assert amb in rewrite._bounded_ambiguities(system, 3)
+    assert system._dense_nf(amb) is None and system._sparse_nf(amb) == ({}, 2)
+    calls = _count_calls(monkeypatch, ("normal_form", "_dense_nf", "_sparse_nf"), lambda name, args: (name, args[0]))
+    done, report = complete(system, 3)
+    assert report.confluent and done.rules == system.rules and len(report.joinable) == 2
+    # every pair enters dense once; only the one that gave up goes on to sparse
+    assert calls == {("_dense_nf", amb): 1, ("_sparse_nf", amb): 1, ("_dense_nf", ((a, a, a), 1, 1, 1)): 1}
+    monkeypatch.setattr(rewrite, "STEP_BUDGET", 1)
+    with pytest.raises(StepBudgetExceeded):
+        complete(system, 3)
 
 
 @pytest.mark.parametrize("surface", SURFACES, ids=str)
