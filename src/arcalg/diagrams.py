@@ -7,12 +7,12 @@ the punctures, open polylines begin and end exactly at puncture positions,
 at pairwise distinct integer heights per puncture.  Every transverse double
 point carries over/under data; general position (no tangencies, no triple
 points, no crossings at punctures) is enforced exactly, on integers (see
-``_frame``); fractions remain at the boundary only: points and crossings.
+``_geometry``); fractions remain at the boundary only: points and crossings.
 
 The evaluator is Kauffman's state model, extended by the puncture-skein and
 puncture-framing relations of the arc algebra.  Exact geometry runs once
-per diagram, which keeps its crossings (``stack`` gets its product's from
-its factors); the components are cut at them into edges, each crossing
+per diagram, which keeps its crossings (``stack`` scans a product's upper
+layer only); the components are cut at them into edges, each crossing
 gets its A- and B-pairing from the directions of its four edge ends, the
 ends at each puncture and its ray are put in counterclockwise order (their
 slots), and each edge gets its signed crossing count with every puncture's
@@ -122,8 +122,7 @@ class Diagram:
     def __post_init__(self):
         object.__setattr__(self, "components", tuple(self.components))
         object.__setattr__(self, "over", dict(self.over or {}))
-        object.__setattr__(self, "_geometry", None)  # what _crossings found
-        object.__setattr__(self, "_frame", None)  # what _frame found
+        object.__setattr__(self, "_geometry", None)  # what _geometry found
 
 
 @dataclass(frozen=True)
@@ -151,47 +150,38 @@ def _adjacent(c: Component, k1: int, k2: int) -> bool:
     return abs(k1 - k2) == 1
 
 
-def _frame(d: Diagram) -> tuple[int, tuple[tuple[Vec, ...], ...]]:
-    """``geometry.frame`` of d's components, kept like ``_geometry``."""
-    if d._frame is None:
-        object.__setattr__(d, "_frame", frame(c.points for c in d.components))
-    return d._frame
+def _scan(d: Diagram, fixed: int = 0, known=()) -> tuple[list[str], list[_XC], tuple]:
+    """General-position errors and transverse crossings among d's segments,
+    and d's integer frame (``geometry.frame`` of its components).
 
-
-def _scan(d: Diagram, group=None, known=()) -> tuple[list[str], list[_XC]]:
-    """General-position errors and transverse crossings among d's segments.
-
-    Two segments with one nonzero ``group(sid, k)`` are not compared: their
-    crossings are among ``known``, which join the result.  Segments of group
-    1 stay in place and are not tested against the punctures either."""
+    The first ``fixed`` components stay as they were: two of their segments
+    are not compared, as their crossings are ``known`` and join the result,
+    and their segments are not tested against the punctures."""
     errors, crossings = [], []
-    comps, (scale, frames) = d.components, _frame(d)
+    comps, (scale, frames) = d.components, frame(c.points for c in d.components)
     punctures = {(i * scale, 0): i for i in range(1, d.n + 1)}
     # (sid, k, point) where segment k of an open curve legally ends at point
     ends = {(sid, k, pts[i]) for sid, (c, pts) in enumerate(zip(comps, frames)) if not c.closed
             for k, i in ((0, 0), (len(pts) - 2, -1))}
-    segs: list[tuple[int, int, Vec, Vec, tuple, int]] = []
+    segs: list[tuple[int, int, Vec, Vec, tuple]] = []
     for sid, (c, pts) in enumerate(zip(comps, frames)):
         for k in range(c.segment_count()):
             a, b = pts[k], pts[(k + 1) % len(pts)]
-            box = (*sorted((a[0], b[0])), *sorted((a[1], b[1])))
-            segs.append((sid, k, a, b, box, group(sid, k) if group else 0))
+            segs.append((sid, k, a, b, (*sorted((a[0], b[0])), *sorted((a[1], b[1])))))
 
-    total = len(segs)
+    total, lead = len(segs), sum(c.segment_count() for c in comps[:fixed])
     for idx1 in range(total):
-        sid1, k1, a1, b1, box1, g1 = segs[idx1]
+        sid1, k1, a1, b1, box1 = segs[idx1]
         comp1 = comps[sid1]
-        for q, qi in punctures.items() if g1 != 1 else ():
+        for q, qi in punctures.items() if idx1 >= lead else ():
             if box1[0] <= q[0] <= box1[1] and box1[2] <= q[1] <= box1[3]:
                 if on_segment_interior(q, a1, b1):
                     errors.append(f"segment ({sid1},{k1}) passes through puncture {qi}")
                 for endpoint in (a1, b1):
                     if endpoint == q and (sid1, k1, q) not in ends:
                         errors.append(f"vertex of component {sid1} lies at puncture {qi}")
-        for idx2 in range(idx1 + 1, total):
-            sid2, k2, a2, b2, box2, g2 = segs[idx2]
-            if g1 and g1 == g2:
-                continue
+        for idx2 in range(max(idx1 + 1, lead), total):
+            sid2, k2, a2, b2, box2 = segs[idx2]
             hit = None
             if box1[0] <= box2[1] and box2[0] <= box1[1] and box1[2] <= box2[3] and box2[2] <= box1[3]:
                 hit = segment_hit(a1, b1, a2, b2)
@@ -219,7 +209,7 @@ def _scan(d: Diagram, group=None, known=()) -> tuple[list[str], list[_XC]]:
         if xc[0] in seen:
             errors.append(f"three strands meet at {xc[0]}")
         seen.add(xc[0])
-    return errors, crossings
+    return errors, crossings, (scale, frames)
 
 
 def _structural_errors(d: Diagram) -> list[str]:
@@ -257,21 +247,22 @@ def _structural_errors(d: Diagram) -> list[str]:
     return errors
 
 
-def _crossings(d: Diagram) -> tuple[tuple[str, ...], tuple[_XC, ...]]:
-    """The general-position violations of ``d`` and its crossings, with the
-    lower (component, segment) of each first, in that order.  They depend
-    only on ``n`` and the components, so each diagram keeps them."""
+def _geometry(d: Diagram) -> tuple[tuple[str, ...], tuple[_XC, ...], tuple | None]:
+    """The general-position violations of ``d``, its crossings, with the
+    lower (component, segment) of each first, and its frame (None after a
+    structural error), in that order.  They depend only on ``n`` and the
+    components, so each diagram keeps them: one record, made by ``_scan``."""
     if d._geometry is None:
         errors = _structural_errors(d)
-        geometry = (errors, ()) if errors else _scan(d)
-        object.__setattr__(d, "_geometry", tuple(map(tuple, geometry)))
+        errors, crossings, fr = (errors, (), None) if errors else _scan(d)
+        object.__setattr__(d, "_geometry", (tuple(errors), tuple(crossings), fr))
     return d._geometry
 
 
 def validate(d: Diagram) -> list[str]:
     """All general-position and attachment violations; [] means valid.  The
     over/under entries are checked on every call: ``d.over`` is mutable."""
-    errors, crossings = _crossings(d)
+    errors, crossings, _ = _geometry(d)
     if errors:
         return list(errors)
     found, declared = {(xc[1], xc[2]) for xc in crossings}, set(d.over)
@@ -282,7 +273,7 @@ def validate(d: Diagram) -> list[str]:
 
 def diagram_crossings(d: Diagram) -> list[tuple[CrossKey, Point]]:
     """Crossing ids and their exact positions, in canonical order."""
-    errors, crossings = _crossings(d)
+    errors, crossings, _ = _geometry(d)
     if errors:
         raise DiagramError(errors)
     return sorted(((xc[1], xc[2]), xc[0]) for xc in crossings)
@@ -369,9 +360,9 @@ def _marks(crossings: Sequence[_XC]) -> dict[tuple[int, int], list]:
     return marks
 
 
-def _skeleton(d: Diagram, crossings: Sequence[_XC]) -> tuple[_Skeleton, _State, int]:
+def _skeleton(d: Diagram) -> tuple[_Skeleton, _State, int]:
     """Cut a valid diagram at its crossings into edges: (skeleton, root state, packed free loops)."""
-    n, (scale, frames) = d.n, _frame(d)
+    n, (_, crossings, (scale, frames)) = d.n, _geometry(d)
     punctures = [(q * scale, 0) for q in range(1, n + 1)]
     sk = _Skeleton(n)
     dirs: list[Vec] = []  # the outward direction of each end
@@ -602,7 +593,7 @@ def resolve_fully(d: Diagram, rng=None) -> list[WeightedState]:
     errors = validate(d)
     if errors:
         raise DiagramError(errors)
-    sk, root, shift = _skeleton(d, _crossings(d)[1])
+    sk, root, shift = _skeleton(d)
     terms: dict[Word, dict[int, list]] = {}  # word -> packed loops -> terms
     for frontier in _frontiers(sk, root, shift, rng):
         for st, coeff in frontier.values():
@@ -674,10 +665,10 @@ def _scale(lines, points, v: Vec) -> Fraction | None:
     return Fraction(1, 1 << k)
 
 
-def _move(d1: Diagram, xc1, upper: Sequence[Component], xc2) -> tuple[Point, tuple]:
-    """The move t * v of ``stack`` and the upper layer moved by it (all but
-    its puncture ends); v is the first of (1, 2), (2, -1), (1, 3), ... for
-    which ``_scale`` finds a t."""
+def _move(d1: Diagram, xc1, upper: Sequence[Component], xc2) -> tuple[Component, ...]:
+    """The upper layer of ``stack`` moved by t * v (all but its puncture
+    ends); v is the first of (1, 2), (2, -1), (1, 3), ... for which
+    ``_scale`` finds a t."""
     punctures = {puncture_position(i) for i in range(1, d1.n + 1)}
     lines, points = [], [(q, False) for q in punctures]
     for comps, crossings, moving in ((d1.components, xc1, False), (upper, xc2, True)):
@@ -693,46 +684,41 @@ def _move(d1: Diagram, xc1, upper: Sequence[Component], xc2) -> tuple[Point, tup
     t, v = next((t, v) for v in candidates if (t := _scale(lines, points, v)) is not None)
     delta = (t * v[0] / scale, t * v[1] / scale)
     moved = (tuple(x if x in punctures else vadd(x, delta) for x in c.points) for c in upper)
-    return delta, tuple(replace(c, points=pts) for c, pts in zip(upper, moved))
+    return tuple(replace(c, points=pts) for c, pts in zip(upper, moved))
 
 
 def _try_stack(d1: Diagram, d2: Diagram, shifted: tuple[Component, ...]) -> Diagram:
     """d1 with ``shifted`` (d2, heights shifted) above it: in place if the
-    pairs between the layers allow it, else moved by ``_move``.  Only new
-    pairs are scanned: d1 against the upper layer and, after a move, the
-    rotated end segments against the rest of it.  d1's crossings are
-    carried, and so are d2's, moved with their translated segments; the
-    upper layer may have no other.  The triple-point check covers the union."""
+    union is in general position, else moved by ``_move``.  d1's crossings
+    are carried, and one scan takes the upper layer against itself and d1,
+    so it finds d2's crossings where they now are.  The upper layer must
+    have exactly d2's crossings; the triple-point check covers the union."""
     n, offset = d1.n, len(d1.components)
-    xc1, xc2 = _crossings(d1)[1], _crossings(d2)[1]
+    xc1, xc2 = _geometry(d1)[1], _geometry(d2)[1]
 
-    def union(upper, heads, delta, rotating):
-        product, carried = Diagram(n, d1.components + upper, d1.over), []
+    def union(upper, heads):
+        product = Diagram(n, d1.components + upper, d1.over)
         over = product.over
-        for x, (s1, k1), (s2, k2) in xc2:
-            key = ((s1 + offset, k1 + heads[s1]), (s2 + offset, k2 + heads[s2]))
-            carried.append((vadd(x, delta), *key))
-            over[key] = d2.over[(s1, k1), (s2, k2)]
-        group = lambda s, k: 1 if s < offset else 0 if (s, k) in rotating else 2
-        errors, found = _scan(product, group, xc1 + tuple(carried))
+        for _, (s1, k1), (s2, k2) in xc2:
+            over[(s1 + offset, k1 + heads[s1]), (s2 + offset, k2 + heads[s2])] = d2.over[(s1, k1), (s2, k2)]
+        errors, found, fr = _scan(product, offset, xc1)
         for x, k1, k2 in found:  # d1's strand is first at a crossing between the layers
             if (k1, k2) not in over:
                 over[k1, k2] = "b"  # the upper layer is over
                 if k1[0] >= offset:
                     errors.append(f"the upper layer gained a crossing at {x}")
-        return errors, product, found
+        if len(over) > len(found):
+            errors.append("the upper layer lost a crossing")
+        object.__setattr__(product, "_geometry", (tuple(errors), tuple(found), fr))
+        return errors, product
 
-    errors, product, found = union(shifted, [0] * len(shifted), (0, 0), ())
+    errors, product = union(shifted, [0] * len(shifted))
     if errors:
         marks = _marks(xc2)
         split = [_split_ends(c, s, marks) for s, c in enumerate(shifted)]
-        delta, upper = _move(d1, xc1, [c for c, _ in split], xc2)
-        ends = [(s, len(c.points) - 2) for s, c in enumerate(upper, start=offset) if not c.closed]
-        rotating = {(s, k) for s, last in ends for k in (0, last)}
-        errors, product, found = union(upper, [h for _, h in split], delta, rotating)
+        errors, product = union(_move(d1, xc1, [c for c, _ in split], xc2), [h for _, h in split])
     if errors:
         raise DiagramError(["stacking could not keep general position"] + errors[:4])
-    object.__setattr__(product, "_geometry", ((), tuple(found)))
     return product
 
 
@@ -741,9 +727,9 @@ def stack(d1: Diagram, d2: Diagram) -> Diagram:
 
     All endpoint heights of d2 are shifted above all of d1's, and at every
     crossing between the two diagrams d2 is the over strand.  The product
-    carries its crossings, so ``evaluate`` and the next ``stack`` do not
-    scan it.  If the pairs between the layers violate general position, d2
-    moves by t * v: all its vertices but the puncture ends are translated,
+    keeps the geometry record of its one scan, so ``evaluate`` and the next
+    ``stack`` do not scan it again.  If the union violates general position,
+    d2 moves by t * v: all its vertices but the puncture ends are translated,
     so its end segments rotate; one that carries a crossing is split first,
     so that every crossing of d2 moves by t * v.  ``_scale`` takes t below
     every t > 0 at which a vertex, crossing or puncture meets the line of a
@@ -751,7 +737,7 @@ def stack(d1: Diagram, d2: Diagram) -> Diagram:
     and v makes none of them hold for all t, so none holds on (0, t]: d2
     sweeps no puncture and keeps its crossings, and the union has no
     contact, overlap or triple point.  ``_try_stack`` checks the union, and
-    that the upper layer has no crossing but d2's.
+    that the upper layer has exactly d2's crossings.
     """
     if d1.n != d2.n:
         raise DiagramError(f"puncture counts differ: {d1.n} != {d2.n}")
@@ -839,6 +825,8 @@ def _attachment(obj) -> Attachment:
 
 
 def _crossing_key(pair) -> tuple[int, int]:
+    if len(pair) != 2:
+        raise ValueError(f"crossing key must have 2 entries, not {len(pair)}")
     return _json_field(pair[0], int, "crossing key"), _json_field(pair[1], int, "crossing key")
 
 

@@ -361,13 +361,12 @@ def rho_element(x: AlgElement) -> Matrix:
     """Multiplicative-linear extension of rho to arbitrary (0,3) elements."""
     if x.arity != 3:
         raise ValueError("rho_element expects an element over R_3")
-    base = _rho_base()
     z = ring.zero(3)
     total = tuple(tuple(z for _ in range(4)) for _ in range(4))
     for word, coeff in x.terms():
-        m = base[EMPTY_WORD]
+        m = rho()
         for g in word:
-            m = mat_mul(m, base[(g,)])
+            m = mat_mul(m, rho(g))
         total = _mat_add(total, _mat_scale(m, coeff))
     return total
 

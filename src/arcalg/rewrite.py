@@ -68,7 +68,7 @@ from dataclasses import dataclass, field
 from math import gcd, inf
 
 from .freealg import AlgElement, Word, word_key, word_str
-from .ring import LaurentPoly, Monomial
+from .ring import ArityError, LaurentPoly, Monomial
 
 __all__ = [
     "RuleError",
@@ -316,6 +316,8 @@ class RewriteSystem:
     def normal_form(self, x: AlgElement) -> AlgElement:
         """``reduce_once`` to a fixed point, in one pass from the largest word down,
         on dense coefficients unless ``_dense_nf`` hands the call to sparse ones."""
+        if x.arity != self.arity:
+            raise ArityError(f"arity mismatch: {self.arity} != {x.arity}")
         terms, _ = self._dense_nf(x) or self._sparse_nf(x)
         return AlgElement._make(self.arity, terms)
 

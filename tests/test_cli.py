@@ -409,6 +409,8 @@ def test_eval_diagram_invalid_content(tmp_path, capsys):
         ("n", True, "n must be a JSON integer, not bool"),
         ("key", 1.0, "crossing key must be a JSON integer, not float"),
         ("key", False, "crossing key must be a JSON integer, not bool"),
+        ("entries", [0, 0, 9], "crossing key must have 2 entries, not 3"),
+        ("entries", [0], "crossing key must have 2 entries, not 1"),
     ],
 )
 def test_eval_diagram_field_types(tmp_path, capsys, field, bad, message):
@@ -423,6 +425,8 @@ def test_eval_diagram_field_types(tmp_path, capsys, field, bad, message):
         doc["n"] = bad
     elif field == "key":
         doc["over_under"][0]["a"][1] = bad
+    elif field == "entries":  # a third entry was dropped
+        doc["over_under"][0]["a"] = bad
     else:
         doc["components"][0]["end"][field] = bad
     path = tmp_path / "doc.json"

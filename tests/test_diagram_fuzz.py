@@ -34,7 +34,7 @@ from arcalg import (  # noqa: E402
     stack,
     validate,
 )
-from arcalg.diagrams import puncture_position  # noqa: E402
+from arcalg.diagrams import _geometry, puncture_position  # noqa: E402
 from arcalg.presentations import GENS_A3  # noqa: E402
 
 FUZZ = settings(
@@ -109,8 +109,9 @@ def test_stack_is_the_product(d1, data):
     assert evaluate(stacked) == nf(Surface(0, d1.n), evaluate(d1) * evaluate(d2))
 
 
-# A product carries the crossings that stack found; a rebuilt copy of it,
-# scanned afresh, must find the same ones and be valid.
+# A product keeps the geometry record (errors, crossings, frame) that stack
+# made; a rebuilt copy of it, scanned afresh, must make the same one and be
+# valid.
 @settings(FUZZ, max_examples=25)
 @given(diagrams(ns=(2, 3), max_components=2, max_crossings=2), st.data())
 def test_stacked_crossings_are_a_fresh_scan(d1, data):
@@ -120,6 +121,7 @@ def test_stacked_crossings_are_a_fresh_scan(d1, data):
     for product in (once, stack(once, d3)):
         rebuilt = Diagram(product.n, product.components, dict(product.over))
         assert diagram_crossings(rebuilt) == diagram_crossings(product)
+        assert _geometry(rebuilt) == _geometry(product)
         assert validate(rebuilt) == []
 
 

@@ -38,7 +38,7 @@ from arcalg import (
     v_power,
     validate,
 )
-from arcalg.diagrams import _W, _crossings, _join, _skeleton, _smooth
+from arcalg.diagrams import _W, _join, _skeleton, _smooth
 from arcalg.presentations import GENS_A3, GEN_A, mat_mul
 from arcalg.ring import LaurentPoly, Monomial
 
@@ -183,7 +183,7 @@ def test_kink_resolution_tree_size():
 def _root(d):
     """The skeleton, root state and packed free loops of the resolution of ``d``."""
     assert validate(d) == []
-    return _skeleton(d, _crossings(d)[1])
+    return _skeleton(d)
 
 
 def _gathered(n, root, shift, st):
@@ -502,6 +502,35 @@ def test_stack_work_gate(monkeypatch):
     # one scan per generator diagram, one per stack for the pairs between
     # the layers, and one more for each of the 7 stacks that move d2
     assert calls["_scan"] == 4 + 15 + 7
+
+
+def test_the_length_six_product_document_is_a_fresh_stack():
+    # demos/product_a1a2a3a1a2a3.json is written by nothing; it must stay
+    # what stacking a1 a2 a3 a1 a2 a3 gives, byte for byte.
+    layer = [generator_diagram(Surface(0, 3), g) for g in GENS_A3]
+    path = Path(__file__).parent.parent / "demos" / "product_a1a2a3a1a2a3.json"
+    assert dumps_diagram(reduce(stack, layer + layer)) + "\n" == path.read_text()
+
+
+@pytest.mark.parametrize("fault", ["lost", "gained"])
+def test_stack_refuses_an_upper_layer_whose_crossings_changed(monkeypatch, fault):
+    # The scan of the union must find exactly the upper diagram's crossings
+    # in the upper layer, in place and after a move.
+    import arcalg.diagrams as engine
+
+    d = generator_diagram(Surface(0, 3), A1)
+    upper = stack(d, d)  # one crossing, kept in its geometry record
+    scan = engine._scan
+
+    def faulty(product, fixed=0, known=()):
+        errors, found, fr = scan(product, fixed, known)
+        if fault == "lost":
+            return errors, [xc for xc in found if xc[1][0] < fixed], fr
+        return errors, found + [((F(9), F(9)), (fixed, 0), (fixed, 1))], fr
+
+    monkeypatch.setattr(engine, "_scan", faulty)
+    with pytest.raises(DiagramError, match=f"the upper layer {fault} a crossing"):
+        stack(d, upper)
 
 
 def test_stack_memo_covers_geometry_only():

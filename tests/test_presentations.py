@@ -198,6 +198,13 @@ def test_rho_soundness_on_random_elements():
         assert rho_element(x) == rho_element(alg.nf(x))
 
 
+def test_rho_element_refuses_a_foreign_generator_as_rho_does():
+    # A torus generator in the word raised a bare KeyError.
+    x = AlgElement.from_word((A1, G1), 3)
+    with pytest.raises(ValueError, match=r"rho is defined on the \(0,3\) generators, not g1"):
+        rho_element(x)
+
+
 def test_independence_rank():
     ranks = independence_rank(
         [

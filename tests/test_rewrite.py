@@ -10,6 +10,7 @@ import pytest
 
 from arcalg import (
     AlgElement,
+    ArityError,
     Generator,
     LaurentPoly,
     Monomial,
@@ -102,6 +103,17 @@ def test_normal_form_scalar_fixed():
     alg = f03()
     c = AlgElement.from_scalar(delta(3) * 7)
     assert alg.nf(c) == c
+
+
+def test_normal_form_refuses_an_element_of_another_arity():
+    # Such an element came back malformed: v1*g1*g2 over R_1 on F1,0 as an
+    # arity-0 element holding a one-variable monomial, and an element over
+    # R_2 on F0,3 as one over R_3.
+    x = AlgElement.from_word((G1, G2), 1, v_power(1, 1))
+    with pytest.raises(ArityError, match="arity mismatch: 0 != 1"):
+        algebra_for(Surface(1, 0)).system.normal_form(x)
+    with pytest.raises(ArityError, match="arity mismatch: 3 != 2"):
+        f03().system.normal_form(AlgElement.from_word((A1, A2), 2))
 
 
 def test_normal_form_torus_commutation():
