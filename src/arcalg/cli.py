@@ -106,8 +106,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, surface_required=True):
-        p.add_argument("--surface", type=_surface, required=surface_required,
+    def add_common(p):
+        p.add_argument("--surface", type=_surface, required=True,
                        help="surface as g,n: one of 0,2  0,3  1,0  1,1")
         p.add_argument("--variant", choices=[VARIANT_DEFAULT, VARIANT_LITERAL],
                        default=VARIANT_DEFAULT,

@@ -90,16 +90,16 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
             tokens.append(("symbol", ch, i))
             i += 1
             continue
-        if ch.isdecimal():
+        if "0" <= ch <= "9":
             j = i
-            while j < len(text) and text[j].isdecimal():
+            while j < len(text) and "0" <= text[j] <= "9":
                 j += 1
             tokens.append(("int", text[i:j], i))
             i = j
             continue
         if ch.isalpha():
             j = i + 1
-            while j < len(text) and text[j].isdecimal():
+            while j < len(text) and "0" <= text[j] <= "9":
                 j += 1
             tokens.append(("name", text[i:j], i))
             i = j

@@ -375,7 +375,7 @@ def rho_element(x: AlgElement) -> Matrix:
 
 
 def rational_rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    """Rank over Q by fraction-free-ish Gaussian elimination (exact)."""
+    """Rank over Q by Gaussian elimination on exact ``Fraction`` entries."""
     m = [list(map(Fraction, row)) for row in rows]
     rank = 0
     cols = len(m[0]) if m else 0

@@ -52,12 +52,11 @@ of rules ia and ib, and decodes only what remains of it.
 A system builds what depends only on its rules once, on first use, and
 keeps it in attributes that are not fields: one coded rule table per
 kernel, keyed by ``(param, alphabet)`` of its last call (param the packing
-width s or the grid g), the ambiguities of each pair of rules and each
-critical pair, keyed by its ambiguity ``(word, ia, ib, pos)``.  Completion
-only appends rules, which keeps every old rule's index, so the system
-``complete`` extends by a rule (``_extended``) inherits the ambiguities,
-the pairs and both tables whole; only the new rule's pairs are built, and
-a table whose key still holds only appends the new rule's row.
+width s or the grid g), and the ambiguities of each pair of rules.
+Completion only appends rules, which keeps every old rule's index, so the
+system ``complete`` extends by a rule (``_extended``) inherits the
+ambiguities and both tables whole; only the new rule's ambiguities are
+found, and a table whose key still holds only appends the new rule's row.
 """
 
 from __future__ import annotations
@@ -244,15 +243,13 @@ class RewriteSystem:
         object.__setattr__(self, "_packed", (None, None, None))  # the last (s, alphabet), its coder, its table
         object.__setattr__(self, "_dense", (None, None, None))  # the last (g, alphabet), its coder, its table
         object.__setattr__(self, "_overlaps", {})  # (ia, ib) -> ((word, pos), ...) of rules ia and ib
-        object.__setattr__(self, "_pairs", {})  # ambiguity (word, ia, ib, pos) -> its CriticalPair
 
     def _extended(self, rule: Rule) -> RewriteSystem:
         """This system with ``rule`` appended.  Appending keeps every old rule's
-        index, so the ambiguities, critical pairs and rule tables of the old
-        rules hold for the new system, which starts from them."""
+        index, so the ambiguities and rule tables of the old rules hold for
+        the new system, which starts from them."""
         new = RewriteSystem(self.arity, (*self.rules, rule))
         object.__setattr__(new, "_overlaps", dict(self._overlaps))
-        object.__setattr__(new, "_pairs", dict(self._pairs))
         object.__setattr__(new, "_packed", self._packed)  # a table is never changed, only replaced
         object.__setattr__(new, "_dense", self._dense)
         return new
@@ -507,20 +504,16 @@ def critical_pairs(system: RewriteSystem, max_overlap_len: int) -> list[Critical
     """All overlap and containment ambiguities with word length <= the bound.
 
     Overlaps include self-overlaps of a rule with itself.  Each pair carries
-    the two one-step reducts of the ambiguity word (coefficient 1); a pair is
-    built once per system and kept, keyed by its ambiguity.
+    the two one-step reducts of the ambiguity word (coefficient 1), built on
+    each call.
     """
     max_lhs = max((len(r.lhs) for r in system.rules), default=0)
     if system.rules and max_overlap_len < max_lhs:
         raise ValueError(f"max_overlap_len {max_overlap_len} < longest lhs {max_lhs}")
-    built, out = system._pairs, []
-    for amb in _bounded_ambiguities(system, max_overlap_len):
-        cp = built.get(amb)
-        if cp is None:
-            word, ia, ib, pos = amb
-            cp = built[amb] = CriticalPair(word, system._reduct(word, ia, 0), system._reduct(word, ib, pos))
-        out.append(cp)
-    return out
+    return [
+        CriticalPair(word, system._reduct(word, ia, 0), system._reduct(word, ib, pos))
+        for word, ia, ib, pos in _bounded_ambiguities(system, max_overlap_len)
+    ]
 
 
 @dataclass
@@ -567,20 +560,17 @@ class ConfluenceReport:
 def complete(system: RewriteSystem, degree_bound: int) -> tuple[RewriteSystem, ConfluenceReport]:
     """Knuth-Bendix style completion up to ``degree_bound``.
 
-    Scans the critical pairs in order and normalizes each pair's difference,
-    seeded by its ambiguity from the coded rule rows (dense unless that
-    kernel gives up, then sparse), so it is never built as an element.  A
-    zero difference joins the pair and is never decoded.  Otherwise the
-    decoded difference is oriented into a new rule (leading word -> lower
-    terms) if its leading coefficient is a unit of R_n, the system is
-    extended by it and the scan restarts; if not, the pair is a failure,
-    reported with nf(left) and nf(right) = nf(left) - nf(difference).  Sound
-    because every added rule is a consequence of the existing ones.
-
-    Each pass asks ``critical_pairs`` for the pairs up to the bound, but the
-    extended system inherits the pairs, ambiguities and rule tables of the
-    old rules (``RewriteSystem._extended``), so each pair is built once per
-    completion.  The joined pairs are kept as their ambiguities.
+    Scans the ambiguities up to the bound in order and normalizes each
+    pair's difference, seeded by its ambiguity from the coded rule rows
+    (dense unless that kernel gives up, then sparse), so it is never built
+    as an element.  A zero difference joins the pair and is never decoded.
+    Otherwise the decoded difference is oriented into a new rule (leading
+    word -> lower terms) if its leading coefficient is a unit of R_n, the
+    system is extended by it (``_extended``) and the scan restarts; if not,
+    the pair fails.  Sound because every added rule is a consequence of the
+    existing ones.  No pass builds a reduct: one ``critical_pairs`` call
+    after the last pass builds the pairs of the report, each failure with
+    nf(left) and nf(right) = nf(left) - nf(difference).
 
     A joined pair is not normalized again.  ``normal_form`` is linear, since
     the fate of a word depends only on the word, and its redex search tries
@@ -597,24 +587,29 @@ def complete(system: RewriteSystem, degree_bound: int) -> tuple[RewriteSystem, C
     sysx = system
     joined: set[tuple] = set()  # ambiguities (word, ia, ib, pos) whose pairs join
     while True:
-        joinable, failures = [], []
-        pairs = critical_pairs(sysx, degree_bound)
-        for amb, cp in zip(_bounded_ambiguities(sysx, degree_bound), pairs):
+        ambs, diffs = _bounded_ambiguities(sysx, degree_bound), {}  # diffs: failed ambiguity -> difference
+        for amb in ambs:
             if amb not in joined:
                 terms, _ = sysx._dense_nf(amb) or sysx._sparse_nf(amb)
                 if terms:
                     diff = AlgElement._make(sysx.arity, terms)
                     rule = Rule.orient(diff)
                     if rule is None:
-                        n1 = sysx.normal_form(cp.left)
-                        failures.append((cp, n1, n1 - diff))
+                        diffs[amb] = diff
                         continue
                     sysx = sysx._extended(rule)
                     joined.add(amb)
                     break
                 joined.add(amb)
-            joinable.append(cp)
         else:
-            added = list(sysx.rules[len(system.rules) :])
-            unexamined = sum(len(word) > degree_bound for word, *_ in _ambiguities(sysx))
-            return sysx, ConfluenceReport(joinable, failures, added, degree_bound, unexamined)
+            break
+    joinable, failures = [], []
+    for amb, cp in zip(ambs, critical_pairs(sysx, degree_bound)):
+        if amb in diffs:
+            n1 = sysx.normal_form(cp.left)
+            failures.append((cp, n1, n1 - diffs[amb]))
+        else:
+            joinable.append(cp)
+    added = list(sysx.rules[len(system.rules) :])
+    unexamined = sum(len(word) > degree_bound for word, *_ in _ambiguities(sysx))
+    return sysx, ConfluenceReport(joinable, failures, added, degree_bound, unexamined)

@@ -57,6 +57,12 @@ def test_normalize_deep_nesting(capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_normalize_digits_are_ascii_and_a_leading_minus_goes_after_dashes(capsys):
+    code, out, err = run(capsys, "normalize", "--surface", "1,0", "g1^٢")
+    assert (code, out, err) == (2, "", "error: unexpected character '٢' (at offset 3)\n")
+    assert run(capsys, "normalize", "--surface", "1,0", "--", "-g1") == (0, "-g1\n", "")
+
+
 LONG = "1" * 5000  # over Python's default limit of 4300 digits for int <-> str
 
 

@@ -160,6 +160,13 @@ def test_half_power_only_on_a():
         ("A^(x)", "expected integer exponent, found 'x' (at offset 3)"),
         ("A^(-)", "expected integer exponent, found ')' (at offset 4)"),
         ("a1^²", "unexpected character '²' (at offset 3)"),
+        # only the ASCII digits 0-9 are digits
+        ("g1^٢", "unexpected character '٢' (at offset 3)"),
+        ("٣*g1", "unexpected character '٣' (at offset 0)"),
+        ("v١*g1", "unexpected character '١' (at offset 1)"),
+        ("１２*g1", "unexpected character '１' (at offset 0)"),
+        ("g١", "unexpected character '١' (at offset 1)"),
+        ("A^(1/٢)", "unexpected character '٢' (at offset 5)"),
     ],
 )
 def test_exponent_forms(text, expected):

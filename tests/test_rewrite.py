@@ -740,6 +740,27 @@ def test_completion_normalizes_each_critical_pair_once(monkeypatch):
     assert work[complete] == {"_dense_nf seeded": 469, "_sparse_nf seeded": 163, "_reduct": 938}
 
 
+def test_completion_builds_the_pairs_of_its_report_once(monkeypatch):
+    # Each pass scans the ambiguities, and one ``critical_pairs`` call after
+    # the last pass builds the pairs the report holds: on F1,0 at 11 the 33
+    # joined pairs, however many passes the completion takes; on F1,1 with
+    # the literal commutation rhs at 7 also its failures.
+    results = []
+    original = rewrite.critical_pairs
+    monkeypatch.setattr(rewrite, "critical_pairs", lambda *args: results.append(original(*args)) or results[-1])
+    for surface, variant, bound in ((Surface(1, 0), VARIANT_DEFAULT, 11), (Surface(1, 1), VARIANT_LITERAL, 7)):
+        alg = algebra_for(surface, variant)
+        results.clear()
+        _, report = complete(RewriteSystem(alg.arity, alg.rules), bound)
+        [pairs] = results
+        held = report.joinable + [cp for cp, *_ in report.failures]
+        assert len(held) == len(pairs) and set(map(id, held)) == set(map(id, pairs))
+        if surface.punctures:
+            assert report.failures
+        else:
+            assert len(report.joinable) == 33 and not report.failures and report.added_rules
+
+
 @pytest.mark.parametrize("surface, variant", [(s, v) for s in SURFACES for v in (VARIANT_DEFAULT, VARIANT_LITERAL)], ids=str)
 def test_seeded_pair_matches_the_normal_form_of_its_difference(surface, variant, monkeypatch):
     # A kernel seeded with an ambiguity starts from the pair's difference,
@@ -799,8 +820,9 @@ def test_a_seeded_pair_whose_dense_run_gives_up_enters_dense_once(monkeypatch):
 @pytest.mark.parametrize("surface", SURFACES, ids=str)
 def test_complete_matches_the_rebuilding_reference(surface):
     # The reference builds every critical pair and a new system on each pass.
-    # ``complete`` keeps them, here also between calls: every bound runs on
-    # one raw system, whose pairs the previous bounds have built.
+    # ``complete`` keeps the ambiguities and rule tables of a system, here
+    # also between calls: every bound runs on one raw system, whose
+    # ambiguities the previous bounds have found.
     for variant in (VARIANT_DEFAULT, VARIANT_LITERAL):
         alg = algebra_for(surface, variant)
         raw = RewriteSystem(alg.arity, alg.rules)
@@ -863,11 +885,9 @@ def test_extended_system_inherits_what_holds_for_its_rules(monkeypatch):
     assert nfs == [fresh.normal_form(y) for y in inputs]
     for slot in ("_dense", "_packed"):
         assert getattr(new, slot)[::2] == getattr(fresh, slot)[::2]
-    # the old pairs are reused, the new rule's are built; the old system is unchanged
-    new_pairs = critical_pairs(new, 6)
-    assert set(map(id, pairs)) <= set(map(id, new_pairs))
-    assert new_pairs == critical_pairs(RewriteSystem(alg.arity, new.rules), 6)
-    assert critical_pairs(raw, 6) == pairs and len(raw._pairs) == len(pairs)
+    # the pairs are those of a system built from the same rules; the old system is unchanged
+    assert critical_pairs(new, 6) == critical_pairs(fresh, 6)
+    assert critical_pairs(raw, 6) == pairs
     assert raw._dense is tables[0] and raw._packed is tables[1]
 
 
