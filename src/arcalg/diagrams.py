@@ -814,9 +814,10 @@ def _coordinate(x) -> Fraction:
 
 
 def _json_field(value, kind: type, name: str):
-    """``value`` if its type is exactly ``kind`` (so ``True`` is no integer and 2.0 none)."""
+    """``value`` if its type is exactly ``kind`` (so ``True`` is no integer, 2.0 none, and an object no array)."""
     if type(value) is not kind:
-        raise TypeError(f"{name} must be a JSON {'boolean' if kind is bool else 'integer'}, not {type(value).__name__}")
+        kind_name = {bool: "boolean", int: "integer", list: "array"}[kind]
+        raise TypeError(f"{name} must be a JSON {kind_name}, not {type(value).__name__}")
     return value
 
 
@@ -825,7 +826,7 @@ def _attachment(obj) -> Attachment:
 
 
 def _crossing_key(pair) -> tuple[int, int]:
-    if len(pair) != 2:
+    if len(_json_field(pair, list, "crossing key")) != 2:
         raise ValueError(f"crossing key must have 2 entries, not {len(pair)}")
     return _json_field(pair[0], int, "crossing key"), _json_field(pair[1], int, "crossing key")
 
@@ -833,22 +834,22 @@ def _crossing_key(pair) -> tuple[int, int]:
 def diagram_from_dict(obj: Mapping) -> Diagram:
     try:
         n = _json_field(obj["n"], int, "n")
-        entries = list(obj.get("components", []))
+        entries = _json_field(obj.get("components", []), list, "components")
         closed = [_json_field(e.get("closed", False), bool, "closed") for e in entries]
-        # Counted on the raw `points` of every component (any value with a length:
-        # a JSON object iterates its keys, and a two-character key unpacks into a
-        # point), so an oversized document converts no coordinate.
+        # Counted on the raw `points` of every component (any value with a length),
+        # so an oversized document converts no coordinate and checks no point.
         segments = sum(max(len(e["points"]) - (not c), 0) for e, c in zip(entries, closed))
         if segments > SEGMENT_BUDGET:
             raise DiagramError(f"diagram has {segments} segments, more than SEGMENT_BUDGET = {SEGMENT_BUDGET}")
         comps = []
         for entry, c in zip(entries, closed):
-            points = tuple((_coordinate(x), _coordinate(y)) for x, y in entry["points"])
+            points = [_json_field(p, list, "point") for p in _json_field(entry["points"], list, "points")]
+            points = tuple((_coordinate(x), _coordinate(y)) for x, y in points)
             start = None if entry.get("start") is None else _attachment(entry["start"])
             end = None if entry.get("end") is None else _attachment(entry["end"])
             comps.append(Component(points, c, start, end))
         over = {}
-        for entry in obj.get("over_under", []):
+        for entry in _json_field(obj.get("over_under", []), list, "over_under"):
             ka, kb = _crossing_key(entry["a"]), _crossing_key(entry["b"])
             label = entry["over"]
             if kb < ka:

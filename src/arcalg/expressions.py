@@ -58,23 +58,42 @@ def _int(text: str, position: int) -> int:
         raise ParseError(f"integer of {len(text)} digits is too long", position) from None
 
 
+def _single(z: AlgElement) -> tuple | None:
+    """z's one term as (word, monomial, coefficient), or None if z has more or fewer."""
+    if len(z._terms) == 1:
+        ((word, p),) = z._terms.items()
+        if len(p._terms) == 1:
+            ((m, c),) = p._terms.items()
+            return word, m, c
+    return None
+
+
 def _product(x: AlgElement, y: AlgElement, position: int) -> AlgElement:
-    """x*y, refused if over ``EXPANSION_BUDGET`` or ``COEFFICIENT_BITS_BUDGET``."""
-    nx, ny = len(x._terms), len(y._terms)
-    letters = sum(map(len, x._terms)) * ny + nx * sum(map(len, y._terms))
-    monomials = sum(map(len, x._terms.values())) * sum(map(len, y._terms.values()))
-    size = letters + monomials
+    """x*y, refused if over ``EXPANSION_BUDGET`` or ``COEFFICIENT_BITS_BUDGET``; two
+    single terms c1*m1*w1 and c2*m2*w2 multiply as one word concatenation and one
+    monomial product, of len(w1) + len(w2) letters and one monomial."""
+    terms = _single(x), _single(y)
+    if None not in terms:
+        (w1, m1, c1), (w2, m2, c2) = terms
+        size, bits = len(w1) + len(w2) + 1, c1.bit_length() + c2.bit_length()
+    else:
+        nx, ny = len(x._terms), len(y._terms)
+        letters = sum(map(len, x._terms)) * ny + nx * sum(map(len, y._terms))
+        monomials = sum(map(len, x._terms.values())) * sum(map(len, y._terms.values()))
+        size = letters + monomials
+        bits = (monomials - 1).bit_length() + sum(  # bits(x) + bits(y) + bits(terms summed)
+            max((c.bit_length() for p in z._terms.values() for c in p._terms.values()), default=0) for z in (x, y))
     if size > EXPANSION_BUDGET:
         raise ParseError(
             f"product of {size} letters and monomials is over EXPANSION_BUDGET = {EXPANSION_BUDGET}", position
         )
-    bits = (monomials - 1).bit_length() + sum(  # bits(x) + bits(y) + bits(terms summed)
-        max((c.bit_length() for p in z._terms.values() for c in p._terms.values()), default=0) for z in (x, y))
     if 0 < COEFFICIENT_BITS_BUDGET < bits:
         raise ParseError(
             f"product of {bits}-bit coefficients is over COEFFICIENT_BITS_BUDGET = {COEFFICIENT_BITS_BUDGET}", position
         )
-    return x * y
+    if None in terms:
+        return x * y
+    return AlgElement._make(x.arity, {w1 + w2: LaurentPoly._make(x.arity, {m1 * m2: c1 * c2})})
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:

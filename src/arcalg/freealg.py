@@ -13,7 +13,7 @@ from __future__ import annotations
 import operator
 from typing import NamedTuple
 
-from .ring import ArityError, LaurentPoly, _mono_str, _SparseTerms, const, zero
+from .ring import ArityError, LaurentPoly, _format, _SparseTerms, const, zero
 
 __all__ = [
     "Generator",
@@ -60,16 +60,6 @@ class AlgElement(_SparseTerms):
     def _check_term(arity: int, word: Word, coeff: LaurentPoly) -> None:
         if coeff.arity != arity:
             raise ArityError(f"coefficient arity {coeff.arity} != element arity {arity}")
-
-    @staticmethod
-    def _term_str(word: Word, coeff: LaurentPoly) -> tuple[bool, str]:
-        if len(coeff) != 1:
-            return False, f"({coeff})" if not word else f"({coeff})*{word_str(word)}"
-        (mono, c), = coeff.terms()
-        body = _mono_str(mono, c)
-        if not word:
-            return c < 0, body
-        return c < 0, word_str(word) if body == "1" else f"{body}*{word_str(word)}"
 
     def _identity(self) -> "AlgElement":
         return AlgElement.one(self.arity)
@@ -133,6 +123,13 @@ class AlgElement(_SparseTerms):
         return super().__mul__(other)
 
     __rmul__ = __mul__
+
+    def __str__(self) -> str:
+        terms, names = self._terms, {}  # each generator's text, once per call
+        return _format(
+            ("*".join([names.get(g) or names.setdefault(g, str(g)) for g in w]), terms[w]._terms)
+            for w in sorted(terms, key=word_key, reverse=True)
+        )
 
     def __repr__(self) -> str:
         return f"<elem R{self.arity}: {self}>"

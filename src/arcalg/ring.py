@@ -9,7 +9,8 @@ coefficients are Python ints, hence arbitrary precision.
 Values are immutable after construction and safe to share across threads.
 Canonical form: no zero coefficients are stored, and two polynomials are
 equal iff their term maps are identical.  Printing orders monomials by
-graded lexicographic key (total degree, half_a, vexp), largest first.
+graded lexicographic key (total degree, half_a, vexp), largest first;
+one printer, ``_format``, writes both polynomials and algebra elements.
 The canonical sparse-term arithmetic lives in the private base class
 ``_SparseTerms``, which ``freealg.AlgElement`` shares: its constructor, sums
 and products all merge terms through one function, ``_accumulate``.  Hashes
@@ -65,23 +66,58 @@ def _mono_key(m: Monomial) -> tuple:
     return (m.degree(), m.half_a, m.vexp)
 
 
-def _mono_str(m: Monomial, coeff: int) -> str:
-    """Render one term without a leading sign, e.g. ``2*A^(1/2)*v1^-1``."""
-    parts: list[str] = []
-    h = m.half_a
-    if h:
-        if h % 2 == 0:
-            k = h // 2
-            parts.append("A" if k == 1 else f"A^{k}")
-        else:
-            parts.append(f"A^({h}/2)")
-    for i, e in enumerate(m.vexp, start=1):
+def _mono_text(m: Monomial) -> str:
+    """A monomial's factors, e.g. ``A^(1/2)*v1^-1``; the unit monomial is ``""``."""
+    h, vexp = m
+    parts = [f"A^({h}/2)" if h % 2 else "A" if h == 2 else f"A^{h // 2}"] if h else []
+    for i, e in enumerate(vexp, start=1):
         if e:
             parts.append(f"v{i}" if e == 1 else f"v{i}^{e}")
-    c = abs(coeff)
-    if c != 1 or not parts:
-        parts.insert(0, str(c))
     return "*".join(parts)
+
+
+def _joined(parts: list[str]) -> str:
+    """Terms each written `` + body`` or `` - body`` as one sum; no terms is ``0``."""
+    text = "".join(parts)
+    return "-" + text[3:] if text[1:2] == "-" else text[3:] or "0"
+
+
+def _format(rows: Iterable[tuple[str | None, dict]]) -> str:
+    """The text of a sum of (word text, LaurentPoly term map) rows, given in print order.
+
+    A row whose word is None is a LaurentPoly, printed as the sum of its terms.
+    Otherwise a coefficient of one term prints as one signed term whose last
+    factor is the word, and one of several terms as ``(sum)*word``, or
+    ``(sum)`` for the empty word ``""``.  Each distinct monomial's sort key
+    and text are worked out once per call, and shared by all the rows.
+    """
+    memo: dict = {}
+
+    def terms(tmap: dict, word: str | None) -> list[str]:
+        keyed = []
+        for m, c in tmap.items():
+            entry = memo.get(m)
+            if entry is None:
+                entry = memo[m] = (_mono_key(m), _mono_text(m))
+            keyed.append((entry, c))
+        keyed.sort(reverse=True)
+        out = []
+        for (_, t), c in keyed:
+            if word:
+                t = f"{t}*{word}" if t else word
+            sign = " + "
+            if c < 0:
+                sign, c = " - ", -c
+            out.append(sign + t if c == 1 and t else f"{sign}{c}*{t}" if t else f"{sign}{c}")
+        return out
+
+    out = []
+    for word, tmap in rows:
+        if word is None or len(tmap) == 1:
+            out += terms(tmap, word)
+        else:
+            out.append(f" + ({_joined(terms(tmap, None))})" + (f"*{word}" if word else ""))
+    return _joined(out)
 
 
 def _accumulate(acc: dict, items: Iterable[tuple]) -> dict:
@@ -102,10 +138,11 @@ class _SparseTerms:
     The shared core of ``LaurentPoly`` (monomial -> int) and
     ``freealg.AlgElement`` (word -> LaurentPoly).  A subclass supplies the
     key product ``_key_mul``, the term order ``_key_order``, the per-term
-    check ``_check_term`` of the public constructor, the identity, the unit
-    inverse that negative powers need, and how one term prints.  Arithmetic
-    results come from ``_accumulate``, which keeps a term map canonical, so
-    they are wrapped by ``_make`` without the public constructor's checks.
+    check ``_check_term`` of the public constructor, the identity, and the
+    unit inverse that negative powers need; each prints through ``_format``.
+    Arithmetic results come from ``_accumulate``, which keeps a term map
+    canonical, so they are wrapped by ``_make`` without the public
+    constructor's checks.
     """
 
     __slots__ = ("arity", "_terms")
@@ -218,18 +255,6 @@ class _SparseTerms:
     def __hash__(self) -> int:
         return hash((self.arity, frozenset(self._terms.items())))
 
-    def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        out = []
-        for key, coeff in self.terms():
-            negative, body = self._term_str(key, coeff)
-            if not out:
-                out.append(f"-{body}" if negative else body)
-            else:
-                out.append(f" - {body}" if negative else f" + {body}")
-        return "".join(out)
-
 
 class LaurentPoly(_SparseTerms):
     """A sparse element of R_n: a finite map from monomials to nonzero ints."""
@@ -243,10 +268,6 @@ class LaurentPoly(_SparseTerms):
     def _check_term(arity: int, mono: Monomial, coeff: int) -> None:
         if len(mono.vexp) != arity:
             raise ArityError(f"monomial arity {len(mono.vexp)} != ring arity {arity}")
-
-    @staticmethod
-    def _term_str(mono: Monomial, coeff: int) -> tuple[bool, str]:
-        return coeff < 0, _mono_str(mono, coeff)
 
     def __hash__(self) -> int:
         # A constant equals the int it holds, so it must hash like it.
@@ -309,6 +330,9 @@ class LaurentPoly(_SparseTerms):
                 term *= val ** e
             total += term
         return total
+
+    def __str__(self) -> str:
+        return _format([(None, self._terms)])
 
     def __repr__(self) -> str:
         return f"<R{self.arity}: {self}>"

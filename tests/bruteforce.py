@@ -15,13 +15,17 @@ new system, and a pair counts as joined when an equal pair has joined.
 ``segment_hit``, ``angle`` and ``ray_crossing`` work on points with
 fraction coordinates, as the engine did before it scaled each diagram into
 an integer frame.
+
+``reference_str`` prints a ``LaurentPoly`` or an ``AlgElement`` as the
+engine did before it had one printer with a per-call monomial memo: the
+terms sorted by a key per term, and each term rendered on its own.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from arcalg import AlgElement, RewriteSystem, Rule
+from arcalg import AlgElement, LaurentPoly, RewriteSystem, Rule
 from arcalg.geometry import SegHit, cross, vsub
 from arcalg.rewrite import ConfluenceReport, CriticalPair, find_subword
 
@@ -161,3 +165,66 @@ def ray_crossing(a, b, q, tilt=Fraction(1, 10**30)) -> int:
         return 0
     s, u = cross(w, d) / det, cross(w, r) / det  # q + s * r == a + u * d
     return (1 if det > 0 else -1) if s > 0 and 0 <= u <= 1 else 0
+
+
+def _reference_mono_key(m) -> tuple:
+    return (m.degree(), m.half_a, m.vexp)
+
+
+def _reference_word_key(w) -> tuple:
+    return (len(w), w)
+
+
+def _reference_word_str(w) -> str:
+    return "1" if not w else "*".join(str(g) for g in w)
+
+
+def _reference_mono_str(m, coeff: int) -> str:
+    """Render one term without a leading sign, e.g. ``2*A^(1/2)*v1^-1``."""
+    parts: list[str] = []
+    h = m.half_a
+    if h:
+        if h % 2 == 0:
+            k = h // 2
+            parts.append("A" if k == 1 else f"A^{k}")
+        else:
+            parts.append(f"A^({h}/2)")
+    for i, e in enumerate(m.vexp, start=1):
+        if e:
+            parts.append(f"v{i}" if e == 1 else f"v{i}^{e}")
+    c = abs(coeff)
+    if c != 1 or not parts:
+        parts.insert(0, str(c))
+    return "*".join(parts)
+
+
+def _reference_poly_term(mono, coeff: int) -> tuple[bool, str]:
+    return coeff < 0, _reference_mono_str(mono, coeff)
+
+
+def _reference_element_term(word, coeff: LaurentPoly) -> tuple[bool, str]:
+    if len(coeff) != 1:
+        text = reference_str(coeff)
+        return False, f"({text})" if not word else f"({text})*{_reference_word_str(word)}"
+    (mono, c), = coeff._terms.items()
+    body = _reference_mono_str(mono, c)
+    if not word:
+        return c < 0, body
+    return c < 0, _reference_word_str(word) if body == "1" else f"{body}*{_reference_word_str(word)}"
+
+
+def reference_str(x: LaurentPoly | AlgElement) -> str:
+    """``str(x)``, one sorted term at a time."""
+    if not x._terms:
+        return "0"
+    poly = isinstance(x, LaurentPoly)
+    order = _reference_mono_key if poly else _reference_word_key
+    term_str = _reference_poly_term if poly else _reference_element_term
+    out = []
+    for key, coeff in sorted(x._terms.items(), key=lambda kv: order(kv[0]), reverse=True):
+        negative, body = term_str(key, coeff)
+        if not out:
+            out.append(f"-{body}" if negative else body)
+        else:
+            out.append(f" - {body}" if negative else f" + {body}")
+    return "".join(out)

@@ -417,16 +417,30 @@ def test_eval_diagram_invalid_content(tmp_path, capsys):
         ("key", False, "crossing key must be a JSON integer, not bool"),
         ("entries", [0, 0, 9], "crossing key must have 2 entries, not 3"),
         ("entries", [0], "crossing key must have 2 entries, not 1"),
+        ("components", {}, "components must be a JSON array, not dict"),
+        ("over_under", {}, "over_under must be a JSON array, not dict"),
+        ("points", {"00": 0, "10": 0, "01": 0}, "points must be a JSON array, not dict"),
+        ("points", [[0, 0], [1, 0], "01"], "point must be a JSON array, not str"),
+        ("entries", {"0": 0, "1": 1}, "crossing key must be a JSON array, not dict"),
     ],
 )
 def test_eval_diagram_field_types(tmp_path, capsys, field, bad, message):
     # The document of demos/sample_diagram.json with one field replaced; a
     # three-point polyline with "closed": "false" was read as a loop, and a
-    # height of 0.7 or a puncture of 2.9 was truncated.
+    # height of 0.7 or a puncture of 2.9 was truncated.  A JSON object as a
+    # container iterated its keys: {} as the components or crossings was an
+    # empty diagram, and a closed curve whose points were the keys "00", "10",
+    # "01" (or whose third point was the string "01") a loop.
     with open(os.path.join(os.path.dirname(__file__), "..", "demos", "sample_diagram.json")) as fh:
         doc = json.load(fh)
     if field == "closed":
         doc = {"n": 0, "components": [{"closed": bad, "points": [[0, 0], [1, 0], [0, 1]]}]}
+    elif field == "components":
+        doc = {"n": 3, "components": bad}
+    elif field == "over_under":
+        doc = {"n": 3, "components": [], "over_under": bad}
+    elif field == "points":
+        doc = {"n": 0, "components": [{"closed": True, "points": bad}]}
     elif field == "n":
         doc["n"] = bad
     elif field == "key":

@@ -22,6 +22,7 @@ from arcalg import (
     parse_scalar,
     v_power,
 )
+from bruteforce import reference_str
 
 AB3 = generator_alphabet(Surface(0, 3))
 ABG = generator_alphabet(Surface(1, 1))
@@ -122,6 +123,14 @@ def test_expansion_budget_refuses_at_the_operator(monkeypatch):
         with pytest.raises(ParseError, match="over EXPANSION_BUDGET = 10 ") as exc:
             parse_element(text, 3, AB3)
         assert exc.value.position == offset
+    # A product of single terms forms len(w1) + len(w2) letters and one monomial.
+    runs = (("", 1, 26), ("2*A*", 2 * a_power(1, 3), 30), ("A^-1*v2*", a_power(-1, 3) * v_power(2, 3), 34))
+    for head, scalar, offset in runs:
+        nine = head + "*".join(["a1"] * 9)
+        assert parse_element(nine, 3, AB3) == AlgElement.from_word((A1,) * 9, 3, scalar)
+        with pytest.raises(ParseError) as exc:
+            parse_element(nine + "*a1", 3, AB3)
+        assert str(exc.value) == f"product of 11 letters and monomials is over EXPANSION_BUDGET = 10 (at offset {offset})"
 
 
 def test_coefficient_bits_are_refused_before_the_product(monkeypatch):
@@ -236,7 +245,11 @@ def test_print_parse_round_trip_200_random():
         surface = surfaces[k % 4]
         alphabet = generator_alphabet(surface)
         x = rand_element(rng, surface.punctures, tuple(alphabet.values()))
+        assert str(x) == reference_str(x)
         assert parse_element(str(x), surface.punctures, alphabet) == x
+        for p in x._terms.values():
+            assert str(p) == reference_str(p)
+            assert parse_scalar(str(p), surface.punctures) == p
 
 
 def test_parse_print_identity_on_canonical_text():
@@ -245,4 +258,20 @@ def test_parse_print_identity_on_canonical_text():
     for _ in range(100):
         x = rand_element(rng, 3, gens3)
         text = str(x)
+        assert text == reference_str(x)
         assert str(parse_element(text, 3, AB3)) == text
+        for p in x._terms.values():
+            assert str(p) == reference_str(p) == str(parse_scalar(str(p), 3))
+
+
+def test_both_printers_refuse_an_integer_over_the_digit_limit():
+    # The CLI refuses such a result as "too long to print" by this ValueError.
+    limit = sys.get_int_max_str_digits()
+    if not limit:
+        pytest.skip("the interpreter sets no digit limit")
+    big = const(10**limit, 1)  # limit + 1 digits
+    for x in (big, big * a_power(1, 1) + 1, AlgElement.from_scalar(big), AlgElement.from_word((A1, A2), 1, big)):
+        for printer in (str, reference_str):
+            with pytest.raises(ValueError):
+                printer(x)
+    assert str(const(10**limit - 1, 1)) == reference_str(const(10**limit - 1, 1)) == "9" * limit
