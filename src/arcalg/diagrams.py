@@ -816,40 +816,57 @@ def _coordinate(x) -> Fraction:
 def _json_field(value, kind: type, name: str):
     """``value`` if its type is exactly ``kind`` (so ``True`` is no integer, 2.0 none, and an object no array)."""
     if type(value) is not kind:
-        kind_name = {bool: "boolean", int: "integer", list: "array"}[kind]
+        kind_name = {bool: "boolean", int: "integer", list: "array", dict: "object"}[kind]
         raise TypeError(f"{name} must be a JSON {kind_name}, not {type(value).__name__}")
     return value
 
 
-def _attachment(obj) -> Attachment:
+def _sized(value, name: str):
+    """``value`` if it has a length (a JSON array, object or string); otherwise refused as no array."""
+    if type(value) not in (list, dict, str):
+        _json_field(value, list, name)
+    return value
+
+
+def _pair(value, name: str) -> list:
+    """``value`` if it is a JSON array of exactly 2 entries."""
+    if len(_json_field(value, list, name)) != 2:
+        raise ValueError(f"{name} must have 2 entries, not {len(value)}")
+    return value
+
+
+def _attachment(obj, name: str) -> Attachment:
+    obj = _json_field(obj, dict, name)
     return Attachment(_json_field(obj["puncture"], int, "puncture"), _json_field(obj["height"], int, "height"))
 
 
 def _crossing_key(pair) -> tuple[int, int]:
-    if len(_json_field(pair, list, "crossing key")) != 2:
-        raise ValueError(f"crossing key must have 2 entries, not {len(pair)}")
-    return _json_field(pair[0], int, "crossing key"), _json_field(pair[1], int, "crossing key")
+    a, b = _pair(pair, "crossing key")
+    return _json_field(a, int, "crossing key"), _json_field(b, int, "crossing key")
 
 
-def diagram_from_dict(obj: Mapping) -> Diagram:
+def diagram_from_dict(obj: dict) -> Diagram:
     try:
+        obj = _json_field(obj, dict, "document")
         n = _json_field(obj["n"], int, "n")
         entries = _json_field(obj.get("components", []), list, "components")
+        entries = [_json_field(e, dict, "component") for e in entries]
         closed = [_json_field(e.get("closed", False), bool, "closed") for e in entries]
-        # Counted on the raw `points` of every component (any value with a length),
+        # Counted on the raw `points` of every component (any JSON value with a length),
         # so an oversized document converts no coordinate and checks no point.
-        segments = sum(max(len(e["points"]) - (not c), 0) for e, c in zip(entries, closed))
+        segments = sum(max(len(_sized(e["points"], "points")) - (not c), 0) for e, c in zip(entries, closed))
         if segments > SEGMENT_BUDGET:
             raise DiagramError(f"diagram has {segments} segments, more than SEGMENT_BUDGET = {SEGMENT_BUDGET}")
         comps = []
         for entry, c in zip(entries, closed):
-            points = [_json_field(p, list, "point") for p in _json_field(entry["points"], list, "points")]
-            points = tuple((_coordinate(x), _coordinate(y)) for x, y in points)
-            start = None if entry.get("start") is None else _attachment(entry["start"])
-            end = None if entry.get("end") is None else _attachment(entry["end"])
-            comps.append(Component(points, c, start, end))
+            pairs = [_pair(p, "point") for p in _json_field(entry["points"], list, "points")]
+            coords = tuple((_coordinate(x), _coordinate(y)) for x, y in pairs)
+            start = None if entry.get("start") is None else _attachment(entry["start"], "start")
+            end = None if entry.get("end") is None else _attachment(entry["end"], "end")
+            comps.append(Component(coords, c, start, end))
         over = {}
         for entry in _json_field(obj.get("over_under", []), list, "over_under"):
+            entry = _json_field(entry, dict, "over_under entry")
             ka, kb = _crossing_key(entry["a"]), _crossing_key(entry["b"])
             label = entry["over"]
             if kb < ka:

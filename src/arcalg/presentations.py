@@ -13,13 +13,15 @@ Supported surfaces (genus, punctures): (0,2), (0,3), (1,0), (1,1).
   boundary-loop element to its scalar value: -A^2 - A^-2 on the closed torus
   and A + A^-1 on the once-punctured torus.
 
-The executable rewrite system of each algebra is the presentation completed
-(Knuth-Bendix) up to degree 6, so normal forms do not depend on reduction
-order for the identities the suite checks.  The module also houses the 4x4
-left-regular representation of the (0,3) algebra on the module basis
-(1, a1, a2, a3), exact-rational rank computation for the independence
-check, and the scalar-extension embedding of closed-curve elements defined
-over Z[A, A^-1].
+Each algebra is one table of defining relations.  On every surface its rules
+are those relations oriented, each solved for its leading word; on (0,3) the
+table is the nine products a_i a_j above.  The executable rewrite system is
+the rules completed (Knuth-Bendix) up to degree 6, so normal forms do not
+depend on reduction order for the identities the suite checks.  The module
+also houses the 4x4 left-regular representation of the (0,3) algebra on the
+module basis (1, a1, a2, a3), exact-rational rank computation for the
+independence check, and the scalar-extension embedding of closed-curve
+elements defined over Z[A, A^-1].
 
 Everything here is pure and safe to run in parallel.
 """
@@ -170,83 +172,55 @@ def boundary_element(surface: Surface) -> AlgElement:
     )
 
 
-def _sphere2_relations():
-    n = 2
-    c = -(ring.v_power(1, n, -1) * ring.v_power(2, n, -1)) * (
-        ring.a_power(1, n) - ring.a_power(-1, n)
-    ) ** 2
-    rhs = AlgElement.from_scalar(c)
-    return ((f"a*a = {rhs}", AlgElement.from_word((GEN_A, GEN_A), n), rhs),)
-
-
-def _sphere3_rules() -> tuple[Rule, ...]:
-    n = 3
-    d = ring.delta(n)
-    rules = []
-    for i in range(1, 4):
-        for j in range(1, 4):
-            lhs = (Generator("a", i), Generator("a", j))
-            if i == j:
-                ip1 = i % 3 + 1
-                ip2 = ip1 % 3 + 1
-                coeff = ring.v_power(ip1, n, -1) * ring.v_power(ip2, n, -1) * d * d
-                rules.append(Rule(lhs, AlgElement.from_scalar(coeff)))
-            else:
-                k = 6 - i - j
-                coeff = ring.v_power(k, n, -1) * d
-                rules.append(Rule(lhs, AlgElement.from_word((Generator("a", k),), n, coeff)))
-    return tuple(rules)
-
-
-def _sphere3_relations():
-    n = 3
-    d2 = ring.delta(n) ** 2
-    relations = []
-    for i in range(1, 4):
-        j = i % 3 + 1
-        k = 6 - i - j
-        ai = AlgElement.from_generator(Generator("a", i), n)
-        aj = AlgElement.from_generator(Generator("a", j), n)
-        ak = AlgElement.from_generator(Generator("a", k), n)
-        dk = ak * (ring.v_power(k, n, -1) * ring.delta(n))
-        relations.append((f"a{i}*a{j} = a{j}*a{i}", ai * aj, aj * ai))
-        relations.append((f"a{i}*a{j} = v{k}^-1*d*a{k}", ai * aj, dk))
-        vv = ring.v_power(j, n) * ring.v_power(k, n)
-        relations.append(
-            (f"v{j}*v{k}*a{i}^2 = d^2", (ai * ai) * vv, AlgElement.from_scalar(d2))
-        )
-    return tuple(relations)
-
-
-def _torus_relations(n: int, boundary_scalar: LaurentPoly, variant: str):
-    gens = {i: AlgElement.from_generator(Generator("g", i), n) for i in (1, 2, 3)}
-    A = ring.a_power(1, n)
-    Ainv = ring.a_power(-1, n)
+def _presentation(surface: Surface, variant: str):
+    """``(relations, defining, boundary)``: the labelled identities ``verify``
+    checks, the defining relations the rules orient, and the boundary scalar
+    (None off the tori).  Off F0,3 the two relation tuples are the same."""
+    n = surface.punctures
+    gen = {g.index: AlgElement.from_generator(g, n) for g in _GENERATORS[surface]}
+    A, Ainv = ring.a_power(1, n), ring.a_power(-1, n)
+    if surface == (0, 2):
+        rhs = AlgElement.from_scalar(-(ring.v_power(1, n, -1) * ring.v_power(2, n, -1)) * (A - Ainv) ** 2)
+        relations = ((f"a*a = {rhs}", gen[0] * gen[0], rhs),)
+        return relations, relations, None
+    if surface == (0, 3):
+        v = {i: ring.v_power(i, n, -1) for i in gen}
+        d = ring.delta(n)
+        defining, relations = {}, []
+        for i in gen:
+            j, k = i % 3 + 1, (i + 1) % 3 + 1
+            for m in gen:
+                o = 6 - i - m
+                label = f"a{i}^2 = v{j}^-1*v{k}^-1*d^2" if m == i else f"a{i}*a{m} = v{o}^-1*d*a{o}"
+                rhs = AlgElement.from_scalar(v[j] * v[k] * d * d) if m == i else gen[o] * (v[o] * d)
+                defining[i, m] = (label, gen[i] * gen[m], rhs)
+            vv = ring.v_power(j, n) * ring.v_power(k, n)
+            relations += [
+                (f"a{i}*a{j} = a{j}*a{i}", gen[i] * gen[j], gen[j] * gen[i]),
+                defining[i, j],
+                (f"v{j}*v{k}*a{i}^2 = d^2", gen[i] * gen[i] * vv, AlgElement.from_scalar(d * d)),
+            ]
+        return tuple(relations), tuple(defining.values()), None
+    boundary = ring.loop_scalar(n) if surface == (1, 0) else ring.puncture_loop_scalar(n)
     factor = ring.a_power(2, n) - ring.a_power(-2, n)
-    rels = []
-    for i in (1, 2, 3):
-        ip1 = i % 3 + 1
-        rhs_index = ip1 if variant == VARIANT_LITERAL else (ip1 % 3 + 1)
-        lhs = gens[i] * gens[ip1] * A - gens[ip1] * gens[i] * Ainv
-        rhs = gens[rhs_index] * factor
-        rels.append((f"A*g{i}*g{ip1} - A^-1*g{ip1}*g{i} = (A^2 - A^-2)*g{rhs_index}", lhs, rhs))
-    surface = Surface(1, n)
-    rels.append(
-        (
-            f"boundary loop = {boundary_scalar}",
-            boundary_element(surface),
-            AlgElement.from_scalar(boundary_scalar),
-        )
-    )
-    return tuple(rels)
+    relations = []
+    for i in gen:
+        j = i % 3 + 1
+        r = j if variant == VARIANT_LITERAL else j % 3 + 1
+        lhs = gen[i] * gen[j] * A - gen[j] * gen[i] * Ainv
+        relations.append((f"A*g{i}*g{j} - A^-1*g{j}*g{i} = (A^2 - A^-2)*g{r}", lhs, gen[r] * factor))
+    boundary_rhs = AlgElement.from_scalar(boundary)
+    relations.append((f"boundary loop = {boundary}", boundary_element(surface), boundary_rhs))
+    return tuple(relations), tuple(relations), boundary
 
 
 def algebra_for(surface: Surface, variant: str = VARIANT_DEFAULT) -> PresentedAlgebra:
     """The presented algebra of a supported surface, completion included.
 
-    The rules are the relations oriented, except on F0,3: there the nine
-    products are the presentation, and the relations are the identities
-    ``verify`` checks.  Each (surface, variant) pair is built once per
+    On every surface the rules are the defining relations oriented, each
+    solved for its leading word.  On F0,3 the defining relations are the nine
+    products a_i*a_j; the relations ``verify`` checks are identities that
+    follow from them.  Each (surface, variant) pair is built once per
     process, whichever form the call takes.
     """
     surface = _check_surface(surface)
@@ -257,20 +231,9 @@ def algebra_for(surface: Surface, variant: str = VARIANT_DEFAULT) -> PresentedAl
 
 @lru_cache(maxsize=None)
 def _build_algebra(surface: Surface, variant: str) -> PresentedAlgebra:
-    n = surface.punctures
-    boundary: LaurentPoly | None = None
-    if surface == (0, 2):
-        relations = _sphere2_relations()
-    elif surface == (0, 3):
-        relations = _sphere3_relations()
-    else:
-        boundary = ring.loop_scalar(n) if surface == (1, 0) else ring.puncture_loop_scalar(n)
-        relations = _torus_relations(n, boundary, variant)
-    if surface == (0, 3):
-        rules = _sphere3_rules()
-    else:
-        rules = tuple(Rule.orient(lhs - rhs) for _, lhs, rhs in relations)
-    system, _ = complete(RewriteSystem(n, rules), DEFAULT_DEGREE_BOUND)
+    relations, defining, boundary = _presentation(surface, variant)
+    rules = tuple(Rule.orient(lhs - rhs) for _, lhs, rhs in defining)
+    system, _ = complete(RewriteSystem(surface.punctures, rules), DEFAULT_DEGREE_BOUND)
     return PresentedAlgebra(
         surface=surface,
         generators=_GENERATORS[surface],

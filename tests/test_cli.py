@@ -422,6 +422,14 @@ def test_eval_diagram_invalid_content(tmp_path, capsys):
         ("points", {"00": 0, "10": 0, "01": 0}, "points must be a JSON array, not dict"),
         ("points", [[0, 0], [1, 0], "01"], "point must be a JSON array, not str"),
         ("entries", {"0": 0, "1": 1}, "crossing key must be a JSON array, not dict"),
+        ("document", [1, 2], "document must be a JSON object, not list"),
+        ("component", [[0, 0], [1, 0], [0, 1]], "component must be a JSON object, not list"),
+        ("start", [2, 0], "start must be a JSON object, not list"),
+        ("end", 3, "end must be a JSON object, not int"),
+        ("crossing", [[0, 0], [1, 1], "b"], "over_under entry must be a JSON object, not list"),
+        ("points", [[0, 0], [1, 0], [0, 1, 2]], "point must have 2 entries, not 3"),
+        ("points", [[0, 0], [1, 0], [0]], "point must have 2 entries, not 1"),
+        ("points", 5, "points must be a JSON array, not int"),
     ],
 )
 def test_eval_diagram_field_types(tmp_path, capsys, field, bad, message):
@@ -430,11 +438,21 @@ def test_eval_diagram_field_types(tmp_path, capsys, field, bad, message):
     # height of 0.7 or a puncture of 2.9 was truncated.  A JSON object as a
     # container iterated its keys: {} as the components or crossings was an
     # empty diagram, and a closed curve whose points were the keys "00", "10",
-    # "01" (or whose third point was the string "01") a loop.
+    # "01" (or whose third point was the string "01") a loop.  An array where
+    # an object belongs, a point of 3 entries or a number as the points was
+    # refused with Python's own message, which names no field.
     with open(os.path.join(os.path.dirname(__file__), "..", "demos", "sample_diagram.json")) as fh:
         doc = json.load(fh)
     if field == "closed":
         doc = {"n": 0, "components": [{"closed": bad, "points": [[0, 0], [1, 0], [0, 1]]}]}
+    elif field == "document":
+        doc = bad
+    elif field == "component":
+        doc = {"n": 0, "components": [bad]}
+    elif field in ("start", "end"):
+        doc["components"][0][field] = bad
+    elif field == "crossing":
+        doc["over_under"][0] = bad
     elif field == "components":
         doc = {"n": 3, "components": bad}
     elif field == "over_under":

@@ -1,6 +1,7 @@
 """The four presented algebras, the 4x4 representation, and the verifiers."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -14,9 +15,11 @@ from arcalg import (
     algebra_for,
     boundary_element,
     delta,
+    generator_alphabet,
     independence_rank,
     nf,
     one,
+    parse_element,
     psi_embed,
     rational_rank,
     rho,
@@ -82,6 +85,17 @@ TORUS_COMMUTATION_RULES = {
         "g3*g1 -> A^-2*g1*g3 + (A - A^-3)*g1",
     ],
 }
+SPHERE3_RULES = [
+    "a1*a1 -> (A*v2^-1*v3^-1 + 2*v2^-1*v3^-1 + A^-1*v2^-1*v3^-1)",
+    "a1*a2 -> (A^(1/2)*v3^-1 + A^(-1/2)*v3^-1)*a3",
+    "a1*a3 -> (A^(1/2)*v2^-1 + A^(-1/2)*v2^-1)*a2",
+    "a2*a1 -> (A^(1/2)*v3^-1 + A^(-1/2)*v3^-1)*a3",
+    "a2*a2 -> (A*v1^-1*v3^-1 + 2*v1^-1*v3^-1 + A^-1*v1^-1*v3^-1)",
+    "a2*a3 -> (A^(1/2)*v1^-1 + A^(-1/2)*v1^-1)*a1",
+    "a3*a1 -> (A^(1/2)*v2^-1 + A^(-1/2)*v2^-1)*a2",
+    "a3*a2 -> (A^(1/2)*v1^-1 + A^(-1/2)*v1^-1)*a1",
+    "a3*a3 -> (A*v1^-1*v2^-1 + 2*v1^-1*v2^-1 + A^-1*v1^-1*v2^-1)",
+]
 TORUS_CUBIC_RULES = {
     Surface(1, 0): "g1*g2*g3 -> A*g3*g3 + A^-3*g2*g2 + A*g1*g1 + (-2*A - 2*A^-3)",
     Surface(1, 1): "g1*g2*g3 -> A*g3*g3 + A^-3*g2*g2 + A*g1*g1 + (-A + 1 + A^-2 - A^-3)",
@@ -90,11 +104,27 @@ TORUS_CUBIC_RULES = {
 
 @pytest.mark.parametrize("variant", [VARIANT_DEFAULT, VARIANT_LITERAL])
 def test_rules_are_the_oriented_relations(variant):
-    # Each relation solved for its leading word, in relation order.
+    # Each defining relation solved for its leading word, in relation order.
     assert [str(r) for r in algebra_for(Surface(0, 2), variant).rules] == SPHERE2_RULES
+    assert [str(r) for r in algebra_for(Surface(0, 3), variant).rules] == SPHERE3_RULES
     for surface, cubic in TORUS_CUBIC_RULES.items():
         got = [str(r) for r in algebra_for(surface, variant).rules]
         assert got == TORUS_COMMUTATION_RULES[variant] + [cubic]
+
+
+@pytest.mark.parametrize("variant", [VARIANT_DEFAULT, VARIANT_LITERAL])
+@pytest.mark.parametrize("surface", SUPPORTED_SURFACES)
+def test_relation_labels_state_the_checked_equality(surface, variant):
+    # The label verify prints, read back as an expression, is the relation.
+    alg = algebra_for(surface, variant)
+    alphabet = generator_alphabet(surface)
+    for label, lhs, rhs in alg.relations:
+        text = re.sub(r"\bd\b", "(A^(1/2) + A^(-1/2))", label)
+        if surface.genus == 1:
+            text = text.replace("boundary loop", f"({boundary_element(surface)})")
+        left, right = text.split(" = ")
+        assert parse_element(left, surface.punctures, alphabet) == lhs, label
+        assert parse_element(right, surface.punctures, alphabet) == rhs, label
 
 
 def test_nf_products():
