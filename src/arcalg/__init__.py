@@ -8,7 +8,14 @@ and the agreement between the diagram engine and the presentations.  All
 arithmetic is exact: integer Laurent polynomials in A^(1/2) and the
 puncture variables, and plane geometry on integers, in one frame per
 diagram (fractions remain only in documents, points and crossing positions).
+
+The diagram engine (``arcalg.diagrams`` and the ``arcalg.geometry`` it
+imports) loads on first use: the first time one of its names below, or
+``arcalg.diagrams`` itself, is asked for.  Importing the package and the
+commands that use only the presentations do not compile it.
 """
+
+import importlib as _importlib
 
 from .ring import (
     ArityError,
@@ -56,26 +63,25 @@ from .presentations import (
     verify_rho_homomorphism,
 )
 from .expressions import ParseError, parse_element, parse_scalar
-from .diagrams import (
-    Attachment,
-    Component,
-    Diagram,
-    DiagramError,
-    EvaluationBudgetExceeded,
-    WeightedState,
-    arc_diagram,
-    diagram_crossings,
-    diagram_from_dict,
-    diagram_to_dict,
-    dumps_diagram,
-    empty_diagram,
-    evaluate,
-    generator_diagram,
-    loads_diagram,
-    loop_component,
-    resolve_fully,
-    stack,
-    validate,
+
+# Looked up in ``arcalg.diagrams`` by ``__getattr__`` (PEP 562).
+_DIAGRAM_NAMES = (
+    "Attachment", "Component", "Diagram", "DiagramError", "EvaluationBudgetExceeded", "WeightedState",
+    "arc_diagram", "diagram_crossings", "diagram_from_dict", "diagram_to_dict", "dumps_diagram",
+    "empty_diagram", "evaluate", "generator_diagram", "loads_diagram", "loop_component",
+    "resolve_fully", "stack", "validate",
 )
 
 __version__ = "0.1.0"
+__all__ = [name for name in globals() if not name.startswith("_")] + ["diagrams", *_DIAGRAM_NAMES]
+
+
+def __getattr__(name: str):
+    if name == "diagrams" or name in _DIAGRAM_NAMES:
+        diagrams = _importlib.import_module(".diagrams", __name__)
+        return diagrams if name == "diagrams" else getattr(diagrams, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

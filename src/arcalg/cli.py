@@ -27,7 +27,7 @@ import os
 import sys
 from fractions import Fraction
 
-from . import diagrams, presentations
+from . import presentations
 from .expressions import ParseError, parse_element
 from .freealg import AlgElement
 from .presentations import (
@@ -154,7 +154,13 @@ def _cmd_eval_diagram(args) -> int:
         raise UsageError(f"file not found: {exc}") from None
     except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read file: {exc}") from None
-    return _print_element(diagrams.evaluate(diagrams.loads_diagram(text)), args.json)
+    from . import diagrams
+
+    try:
+        result = diagrams.evaluate(diagrams.loads_diagram(text))
+    except diagrams.DiagramError as exc:
+        raise UsageError(str(exc)) from None
+    return _print_element(result, args.json)
 
 
 def _surface_checks(surface: Surface, variant: str) -> presentations.Report:
@@ -170,14 +176,19 @@ def _surface_checks(surface: Surface, variant: str) -> presentations.Report:
             )
         )
     if surface.genus == 0:
+        from . import diagrams
+
         alg = algebra_for(surface, variant)
         for gi in alg.generators:
             for gj in alg.generators:
-                stacked = diagrams.stack(
-                    diagrams.generator_diagram(surface, gi),
-                    diagrams.generator_diagram(surface, gj),
-                )
-                engine = diagrams.evaluate(stacked)
+                try:
+                    stacked = diagrams.stack(
+                        diagrams.generator_diagram(surface, gi),
+                        diagrams.generator_diagram(surface, gj),
+                    )
+                    engine = diagrams.evaluate(stacked)
+                except diagrams.DiagramError as exc:
+                    raise UsageError(str(exc)) from None
                 expected = alg.nf(
                     AlgElement.from_word((gi, gj), alg.arity)
                 )
@@ -254,7 +265,7 @@ def main(argv=None) -> int:
         status = handler(args)
         sys.stdout.flush()
         return status
-    except (ParseError, diagrams.DiagramError, StepBudgetExceeded, UsageError) as exc:
+    except (ParseError, StepBudgetExceeded, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except BrokenPipeError:

@@ -875,7 +875,9 @@ def diagram_from_dict(obj: dict) -> Diagram:
             over[(ka, kb)] = label
     except DiagramError:
         raise
-    except (AttributeError, IndexError, KeyError, OverflowError, TypeError, ValueError, ZeroDivisionError) as exc:
+    except KeyError as exc:  # only the document's own fields are looked up by key
+        raise DiagramError(f"malformed diagram document: missing field {exc}") from None
+    except (AttributeError, IndexError, OverflowError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise DiagramError(f"malformed diagram document: {exc}") from None
     return Diagram(n, tuple(comps), over)
 

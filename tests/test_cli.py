@@ -430,6 +430,13 @@ def test_eval_diagram_invalid_content(tmp_path, capsys):
         ("points", [[0, 0], [1, 0], [0, 1, 2]], "point must have 2 entries, not 3"),
         ("points", [[0, 0], [1, 0], [0]], "point must have 2 entries, not 1"),
         ("points", 5, "points must be a JSON array, not int"),
+        ("document", {"components": []}, "missing field 'n'"),
+        ("component", {"closed": True}, "missing field 'points'"),
+        ("crossing", {"b": [1, 1], "over": "b"}, "missing field 'a'"),
+        ("crossing", {"a": [0, 0], "over": "b"}, "missing field 'b'"),
+        ("crossing", {"a": [0, 0], "b": [1, 1]}, "missing field 'over'"),
+        ("start", {"height": 1}, "missing field 'puncture'"),
+        ("end", {"puncture": 3}, "missing field 'height'"),
     ],
 )
 def test_eval_diagram_field_types(tmp_path, capsys, field, bad, message):
@@ -440,7 +447,8 @@ def test_eval_diagram_field_types(tmp_path, capsys, field, bad, message):
     # empty diagram, and a closed curve whose points were the keys "00", "10",
     # "01" (or whose third point was the string "01") a loop.  An array where
     # an object belongs, a point of 3 entries or a number as the points was
-    # refused with Python's own message, which names no field.
+    # refused with Python's own message, which names no field, and a missing
+    # field by its bare quoted name.
     with open(os.path.join(os.path.dirname(__file__), "..", "demos", "sample_diagram.json")) as fh:
         doc = json.load(fh)
     if field == "closed":
