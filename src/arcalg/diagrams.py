@@ -16,10 +16,11 @@ layer only); the components are cut at them into edges, each crossing
 gets its A- and B-pairing from the directions of its four edge ends, the
 ends at each puncture and its ray are put in counterclockwise order (their
 slots), and each edge gets its signed crossing count with every puncture's
-ray.  Every diagram has the same rays: straight up, turned clockwise by
-less than any of its angles, so a point on a ray counts once.  Resolution
-after that reads only slots and integer counts; it pairs ends, which joins
-two open paths or closes a curve, and adds the ray counts along each path:
+ray, packed into one int with one balanced digit per puncture.  Every
+diagram has the same rays: straight up, turned clockwise by less than any
+of its angles, so a point on a ray counts once.  Resolution after that
+reads only slots and packed counts; it pairs ends, which joins two open
+paths or closes a curve, and adds the packed counts along each path:
 
 * a crossing is resolved into its two smoothings with coefficients A and
   A^-1 (the A-smoothing opens the two regions swept by rotating the over
@@ -34,9 +35,10 @@ two open paths or closes a curve, and adds the ray counts along each path:
   over/under by height and are resolved in turn, and each crossed end
   stays at the puncture through a short stub in its slot;
 * a closed curve encloses the punctures around which the ray counts of
-  its edges sum to a nonzero winding number.  On the sphere it is a
-  scalar whenever min(|enclosed|, n - |enclosed|) <= 1, which holds for
-  every n <= 3: -A^2 - A^-2 for 0 and A + A^-1 for 1.
+  its edges sum to a nonzero winding number (the nonzero digits of its
+  packed count).  On the sphere it is a scalar whenever min(|enclosed|,
+  n - |enclosed|) <= 1, which holds for every n <= 3: -A^2 - A^-2 for 0
+  and A + A^-1 for 1.
 
 Evaluation is defined for n = 0, 2 and 3.  On the once-punctured sphere a
 loop around the puncture is isotopic through infinity to a loop beside it,
@@ -314,25 +316,42 @@ class _Skeleton:
     ``_ray_crossing``; it comes just before an end that points straight up)
     take the slots 0 .. ``slots[p - 1]`` - 1 counterclockwise, ``slot[e]``
     is the slot of end e and ``ray_slot[p - 1]`` that of the ray.  Per end,
-    ``count[e][q - 1]`` is the signed crossing count of the edge, traversed
-    from e, with the ray from puncture q, and ``at[e]`` the (puncture,
-    height) of a puncture end.  ``smoothings[x]`` holds the A-pairing and
-    the B-pairing of crossing x.  All entries are integers and are only
-    ever appended, so all states of the resolution share one skeleton.
+    ``count[e]`` packs the signed crossing counts of the edge, traversed
+    from e, with the rays: the count with the ray from puncture q is the
+    balanced base-2^``width`` digit q - 1, so a path's packed count is the
+    sum of its edges'.  ``at[e]`` is the (puncture, height) of a puncture
+    end.  ``smoothings[x]`` holds the A-pairing and the B-pairing of
+    crossing x.  All entries are integers and are only ever appended, so
+    all states of the resolution share one skeleton.
+
+    A digit holds counts below 2^(width - 1) in absolute value.  A path uses
+    each edge at most once and a straight segment crosses a ray at most
+    once; a join's detour adds +-1 at its own puncture only, and each join
+    removes two ends there.  So a path's count at one ray is at most the
+    segment count plus half the ends at that puncture, which ``_skeleton``
+    makes the width hold, and packed counts are equal iff their digits are.
     """
 
-    def __init__(self, n: int):
-        self.n = n
-        self.count: list[tuple[int, ...]] = []
+    def __init__(self, n: int, width: int):
+        self.n, self.width = n, width
+        self.count: list[int] = []
         self.at: dict[int, tuple[int, int]] = {}
         self.slot: dict[int, int] = {}
         self.ray_slot: list[int] = []
         self.slots: list[int] = []
         self.smoothings: list[tuple[tuple[tuple[int, int], ...], ...]] = []
 
-    def edge(self, counts: Sequence[int]) -> int:
+    def pack(self, counts: Sequence[int]) -> int:
+        return sum(c << self.width * q for q, c in enumerate(counts))
+
+    def digits(self, packed: int) -> list[int]:
+        w, half = self.width, 1 << self.width - 1
+        packed += sum(half << w * q for q in range(self.n))  # so each digit plus half is a plain digit
+        return [(packed >> w * q & 2 * half - 1) - half for q in range(self.n)]
+
+    def edge(self, packed: int) -> int:
         e = len(self.count)
-        self.count += [tuple(counts), tuple(-c for c in counts)]
+        self.count += [packed, -packed]
         return e
 
 
@@ -340,13 +359,13 @@ class _State(NamedTuple):
     """A state of the resolution, which is also its merge key: it carries no
     coefficient, as the steps that make it return their packed exponents.
 
-    ``paths`` maps an open end of a grown curve to (far end, ray counts from
-    the end); any other open end e has only its edge, (e ^ 1, count[e]).
-    ``pending`` holds the crossings still to smooth, and ``ends[p - 1]``
+    ``paths`` maps an open end of a grown curve to (far end, packed ray
+    counts from the end); any other open end e has only its edge, (e ^ 1,
+    count[e]).  ``pending`` holds the crossings still to smooth, and ``ends[p - 1]``
     the (height, end) pairs at puncture p, sorted by height.
     """
 
-    paths: dict[int, tuple[int, tuple[int, ...]]]
+    paths: dict[int, tuple[int, int]]
     pending: tuple[int, ...]
     ends: tuple[tuple[tuple[int, int], ...], ...]
 
@@ -364,7 +383,9 @@ def _skeleton(d: Diagram) -> tuple[_Skeleton, _State, int]:
     """Cut a valid diagram at its crossings into edges: (skeleton, root state, packed free loops)."""
     n, (_, crossings, (scale, frames)) = d.n, _geometry(d)
     punctures = [(q * scale, 0) for q in range(1, n + 1)]
-    sk = _Skeleton(n)
+    attached = [a.puncture for c in d.components if not c.closed for a in (c.start, c.end)]
+    widest = sum(c.segment_count() for c in d.components) + max(map(attached.count, range(1, n + 1)), default=0) // 2
+    sk = _Skeleton(n, widest.bit_length() + 1)  # a digit holds -widest .. widest (see _Skeleton)
     dirs: list[Vec] = []  # the outward direction of each end
 
     marks = _marks(crossings)
@@ -375,7 +396,7 @@ def _skeleton(d: Diagram) -> tuple[_Skeleton, _State, int]:
     def add_edge(run) -> int:
         pts = [point for point, _, _, _ in run]
         counts = [sum(_ray_crossing(a, b, q) for a, b in zip(pts, pts[1:])) for q in punctures]
-        e = sk.edge(counts)
+        e = sk.edge(sk.pack(counts))
         dirs.extend((run[0][3], vsub((0, 0), run[-2][3])))
         for end, (_, x, key, _) in ((e, run[0]), (e ^ 1, run[-1])):
             if x is not None:
@@ -448,11 +469,11 @@ def _link(sk: _Skeleton, paths: dict, pairs) -> tuple[int, dict]:
         fa, ca = paths.pop(a, None) or (a ^ 1, sk.count[a])
         fb, cb = paths.pop(b, None) or (b ^ 1, sk.count[b])
         if fa == b:
-            enclosed = sum(1 for c in ca if c)
+            enclosed = sum(1 for c in sk.digits(ca) if c)
             shift += _W * _W if min(enclosed, sk.n - enclosed) else _W
         else:
-            paths[fa] = (fb, tuple(y - x for x, y in zip(ca, cb)))
-            paths[fb] = (fa, tuple(x - y for x, y in zip(ca, cb)))
+            paths[fa] = (fb, cb - ca)
+            paths[fb] = (fa, ca - cb)
     return shift, paths
 
 
@@ -482,14 +503,11 @@ def _join(sk: _Skeleton, st: _State, p: int, i: int, sign: int) -> tuple[int, _S
     )
     bounds = [0] + [sweep for sweep, _, _ in crossed] + [stop]
     ray = s * (sk.ray_slot[p - 1] - top) % m
-    pieces = [
-        sk.edge([s if q == p and a0 < ray < a1 else 0 for q in range(1, sk.n + 1)])
-        for a0, a1 in zip(bounds, bounds[1:])
-    ]
+    pieces = [sk.edge(s << sk.width * (p - 1) if a0 < ray < a1 else 0) for a0, a1 in zip(bounds, bounds[1:])]
     stubs = {}
     new_crossings = []
     for j, (_, h, e) in enumerate(crossed):
-        stub = sk.edge((0,) * sk.n)
+        stub = sk.edge(0)
         sk.at[stub] = (p, h)
         sk.slot[stub] = sk.slot[e]
         stubs[e] = stub
@@ -583,6 +601,13 @@ def resolve_fully(d: Diagram, rng=None) -> list[WeightedState]:
     With ``rng`` given, admissible puncture pairs are chosen at random
     instead of lowest-first, once per merged state; the sum must not depend
     on the choice.
+
+    The loop scalars are folded in as integers (``_fold``): per word and
+    power of v, the branches' c A^(h/2) loop^l0 puncture_loop^l1 sum to one
+    int with A^(1/2) -> 2^s (Kronecker substitution), every exponent made
+    nonnegative.  s exceeds the L1 bound sum |c| |loop|_1^l0
+    |puncture_loop|_1^l1 on every coefficient, so the int's balanced
+    base-2^s digits are the coefficients.
     """
     if d.n == 1 or d.n > 3:
         raise DiagramError(
@@ -594,20 +619,41 @@ def resolve_fully(d: Diagram, rng=None) -> list[WeightedState]:
     if errors:
         raise DiagramError(errors)
     sk, root, shift = _skeleton(d)
-    terms: dict[Word, dict[int, list]] = {}  # word -> packed loops -> terms
+    terms: dict[Word, list[tuple[tuple[int, ...], int, int]]] = {}  # word -> (vexp, packed exponents, count)
     for frontier in _frontiers(sk, root, shift, rng):
         for st, coeff in frontier.values():
             if not st.pending and all(len(at_p) < 2 for at_p in st.ends):
                 vexp = tuple((len(at) - len(at0)) // 2 for at, at0 in zip(st.ends, root.ends))
-                by_loops = terms.setdefault(_word(sk, st), {})
-                for k, c in coeff.items():
-                    by_loops.setdefault(k // _W, []).append((Monomial(k % _W - _W // 2, vexp), c))
-    n, powers = d.n, {}  # l0 + l1 * _W -> loop_scalar^l0 * puncture_loop_scalar^l1
-    loop, puncture_loop = ring.loop_scalar(n), ring.puncture_loop_scalar(n)
-    for loops in {loops for by_loops in terms.values() for loops in by_loops}:
-        powers[loops] = loop ** (loops % _W) * puncture_loop ** (loops // _W)
-    value = lambda by_loops: sum((LaurentPoly(n, t) * powers[l] for l, t in by_loops.items()), ring.zero(n))
-    return [WeightedState(value(by_loops), word) for word, by_loops in terms.items()]
+                terms.setdefault(_word(sk, st), []).extend((vexp, k, c) for k, c in coeff.items())
+    loop, puncture_loop = ring.loop_scalar(d.n), ring.puncture_loop_scalar(d.n)
+    return [WeightedState(_fold(loop, puncture_loop, branches), word) for word, branches in terms.items()]
+
+
+def _fold(loop: LaurentPoly, puncture_loop: LaurentPoly, branches) -> LaurentPoly:
+    """The sum of c A^(h/2) v^vexp loop^l0 puncture_loop^l1 over the (vexp,
+    packed exponents (see _W), c) of ``branches``, formed as ``resolve_fully`` says."""
+    scalars = [scalar.terms() for scalar in (loop, puncture_loop)]
+    lows = [min(m.half_a for m, _ in ts) for ts in scalars]
+    norms = [sum(abs(c) for _, c in ts) for ts in scalars]
+    groups = {}  # (vexp, l0, l1) -> [(e, c)]: A^(e/2) is A^(h/2) with the scalars' least powers taken out
+    for vexp, k, c in branches:
+        (l1, l0), h = divmod(k // _W, _W), k % _W - _W // 2
+        groups.setdefault((vexp, l0, l1), []).append((h + l0 * lows[0] + l1 * lows[1], c))
+    bound = sum(abs(c) * norms[0] ** l0 * norms[1] ** l1 for (_, l0, l1), row in groups.items() for _, c in row)
+    s, base = bound.bit_length() + 1, min((e for row in groups.values() for e, _ in row), default=0)
+    packed = [sum(c << s * (m.half_a - low) for m, c in ts) for ts, low in zip(scalars, lows)]
+    totals, terms, half = {}, {}, 1 << s - 1
+    for (vexp, l0, l1), row in groups.items():
+        x = sum(c << s * (e - base) for e, c in row) * packed[0] ** l0 * packed[1] ** l1
+        totals[vexp] = totals.get(vexp, 0) + x
+    for vexp, total in totals.items():
+        j = base
+        while total:  # the balanced base-2^s digits of total, lowest first
+            total += half
+            if digit := (total & 2 * half - 1) - half:
+                terms[Monomial(j, vexp)] = digit
+            total, j = total >> s, j + 1
+    return LaurentPoly(loop.arity, terms)
 
 
 def evaluate(d: Diagram, rng=None) -> AlgElement:

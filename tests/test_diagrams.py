@@ -1,5 +1,6 @@
 """Diagram engine: validation, resolution, invariance, stacking, file format."""
 
+import itertools
 import random
 from collections import Counter
 from fractions import Fraction as F
@@ -38,9 +39,9 @@ from arcalg import (
     v_power,
     validate,
 )
-from arcalg.diagrams import _W, _join, _skeleton, _smooth
+from arcalg.diagrams import _W, _Skeleton, _fold, _frontiers, _join, _link, _skeleton, _smooth
 from arcalg.presentations import GENS_A3, GEN_A, mat_mul
-from arcalg.ring import LaurentPoly, Monomial
+from arcalg.ring import LaurentPoly, Monomial, zero
 
 A1, A2, A3 = GENS_A3
 
@@ -430,7 +431,7 @@ def test_engine_triple_product():
 # make them fast enough for this suite.
 @pytest.mark.parametrize(
     "punctures, word",
-    [(2, (GEN_A,) * 4), (3, (A1, A2, A3, A1, A2)), (3, (A1, A2, A3, A1, A2, A3))],
+    [(2, (GEN_A,) * 4), (3, (A1, A2, A3, A1, A2)), (3, (A1, A2, A3, A1, A2, A3)), (3, (A1, A2, A3, A1, A2, A3, A1))],
 )
 def test_long_products_match_the_presentation(punctures, word):
     surface = Surface(0, punctures)
@@ -438,6 +439,84 @@ def test_long_products_match_the_presentation(punctures, word):
     assert value == nf(surface, AlgElement.from_word(word, punctures))
     if punctures == 3:
         assert rho_element(value) == reduce(mat_mul, map(rho, word))
+
+
+@pytest.mark.parametrize("n", range(4))
+def test_packed_ray_counts(n):
+    for width in (2, 3, 8):
+        sk, top = _Skeleton(n, width), (1 << width - 1) - 1
+        for counts in itertools.product((-top, -1, 0, 1, top), repeat=n):
+            assert sk.digits(sk.pack(counts)) == list(counts)
+            # a curve closed from one edge reads the punctures it winds around from the digits
+            e = sk.edge(sk.pack(counts))
+            shift, paths = _link(sk, {}, [(e, e ^ 1)])
+            enclosed = sum(1 for c in counts if c)
+            assert paths == {} and shift == (_W * _W if min(enclosed, n - enclosed) else _W)
+        # joining two edges adds their digits
+        for u, v in itertools.product(itertools.product((-(top // 2), 0, top // 2), repeat=n), repeat=2):
+            e, f = sk.edge(sk.pack(u)), sk.edge(sk.pack(v))
+            _, paths = _link(sk, {}, [(e ^ 1, f)])
+            assert paths[e] == (f ^ 1, sk.pack(v) + sk.pack(u))
+            assert sk.digits(paths[e][1]) == [x + y for x, y in zip(u, v)]
+
+
+def test_packed_ray_counts_stay_inside_their_digits():
+    # Every open path of a long product counts at most (segments + half the
+    # ends at the puncture) crossings with a ray, the bound the width holds.
+    d = reduce(stack, [generator_diagram(Surface(0, 3), g) for g in (A1, A2, A3, A1, A2, A3)])
+    sk, root, shift = _root(d)
+    segments = sum(c.segment_count() for c in d.components)
+    widest = [segments + len(at) // 2 for at in root.ends]
+    assert sk.width == max(widest).bit_length() + 1
+    seen = 0
+    for frontier in _frontiers(sk, root, shift):
+        for st, _ in frontier.values():
+            for _, c in st.paths.values():
+                digits = sk.digits(c)
+                assert sk.pack(digits) == c and all(abs(x) <= w for x, w in zip(digits, widest))
+                seen += 1
+    assert seen > 1000
+
+
+def _cancelling(rng, vexp, pack):
+    """Branches whose sum is zero: L = -A^2 - A^-2, P = A + A^-1 and L = 2 - P^2, each times a random term."""
+    h, l0, l1 = rng.randint(-30, 30), rng.randint(0, 20), rng.randint(0, 20)
+    out = []
+    for shape in (
+        {(0, 1, 0): 1, (4, 0, 0): 1, (-4, 0, 0): 1},
+        {(0, 0, 1): 1, (2, 0, 0): -1, (-2, 0, 0): -1},
+        {(0, 1, 0): 1, (0, 0, 0): -2, (0, 0, 2): 1},
+    ):
+        c = rng.choice((1, -1)) * rng.randint(1, 1 << 70)
+        out += [(vexp, pack(h + dh, l0 + d0, l1 + d1), k * c) for (dh, d0, d1), k in shape.items()]
+    return out
+
+
+@pytest.mark.parametrize("n", [0, 2, 3])
+def test_loop_fold_matches_the_ring_formula(n):
+    rng = random.Random(f"fold:{n}")
+    loop, puncture_loop = loop_scalar(n), puncture_loop_scalar(n)
+    pack = lambda h, l0, l1: h + _W // 2 + (l0 + l1 * _W) * _W
+    for trial in range(40):
+        branches = []
+        for _ in range(rng.randint(1, 4)):  # several powers of v
+            vexp = tuple(rng.randint(-4, 0) for _ in range(n))
+            for _ in range(rng.randint(1, 8)):
+                c = rng.randint(1, 3) if trial % 2 else rng.choice((1, -1)) * rng.randint(1, 1 << 70)
+                branches.append((vexp, pack(rng.randint(-40, 40), rng.randint(0, 40), rng.randint(0, 40)), c))
+        # the ring formula, as resolve_fully assembled a word's coefficient
+        by_loops = {}
+        for vexp, k, c in branches:
+            t = by_loops.setdefault(k // _W, Counter())
+            t[Monomial(k % _W - _W // 2, vexp)] += c
+        expected = sum(
+            (LaurentPoly(n, t) * loop ** (l % _W) * puncture_loop ** (l // _W) for l, t in by_loops.items()), zero(n)
+        )
+        assert _fold(loop, puncture_loop, branches) == expected
+        zeros = [b for vexp in {vexp for vexp, _, _ in branches} for b in _cancelling(rng, vexp, pack)]
+        assert _fold(loop, puncture_loop, zeros).is_zero
+        assert _fold(loop, puncture_loop, branches + zeros) == expected
+    assert _fold(loop, puncture_loop, []).is_zero
 
 
 def test_merged_frontier_work_gate():
